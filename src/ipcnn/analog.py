@@ -1,14 +1,24 @@
 """Analog forward model of one photonic convolutional layer.
 
 The layer is modeled at intensity level: serialized input channels ride on
-separate wavelengths, the delay bank presents Q shifted copies, micro-ring
-weights scale each (input-channel, tap) pair per output channel, balanced
-detection sums wavelengths into per-tap branch voltages, and a voltage
-adder sums the Q branches.  Two fault mechanisms are injectable: additive
-Gaussian detection noise (a single lumped NEOP level in dBc relative to
-the all-ones full-scale branch value) and one multiplicative gain per
-(u, q, v) signal path.  A digital calibration estimates the path gains
-from one-hot probes and pre-compensates the programmed weights.
+separate wavelengths, the delay bank presents Q = sigma^2 shifted copies,
+micro-ring weights scale each (input-channel, tap) pair per output channel,
+balanced detection sums wavelengths into per-tap branch voltages, and a
+voltage adder sums the Q branches.  At every valid time step the delayed
+copies are exactly one im2col patch (the equivalence that
+``conv_math.build_delayed_matrix`` and ``verify`` check), so the summed
+output is simulated directly as one GEMM of the im2col matrix against the
+effective weights ``rescale * gains * settings``.  The delayed tensor
+itself exists only in ``conv_math`` and ``verify``, as the oracle.
+
+Two fault mechanisms are injectable: additive Gaussian detection noise
+(a single lumped NEOP level in dBc relative to the all-ones full-scale
+branch value) and one multiplicative gain per (u, q, v) signal path.  The
+Q branch noises are independent, so their sum at an output element is one
+Gaussian of Q times the branch variance; it is drawn once per output
+element, then scaled by the digital rescale.  A digital calibration
+estimates the path gains from one-hot probes and pre-compensates the
+programmed weights.
 
 Simulator state is immutable; forward passes are pure given (input, seed).
 """
@@ -19,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conv_math import ConvLayerSpec, delay_offsets, kernels_to_weight_matrix
+from .conv_math import ConvLayerSpec, kernels_to_weight_matrix
 from .errors import (
     DegenerateHardwareError,
     DimensionError,
@@ -27,6 +37,7 @@ from .errors import (
     InfeasibleDesignError,
     InvalidSpecError,
 )
+from .layers import im2col
 
 # Guards division by zero for the all-zero kernel tensor; far below any
 # representable real kernel magnitude.
@@ -104,41 +115,19 @@ def program_weights(kernels, spec: ConvLayerSpec) -> WeightProgramming:
     return WeightProgramming(settings=settings, rescale=r)
 
 
-def _delayed_batch(images: np.ndarray, spec: ConvLayerSpec) -> np.ndarray:
-    """Batched delayed tensor, shape (B, C_I, Q, L^2 + D_max)."""
-    b = images.shape[0]
-    n = spec.image_width ** 2
-    width = n + spec.d_max
-    streams = images.reshape(b, spec.c_in, n)
-    out = np.zeros((b, spec.c_in, spec.q, width))
-    for q, d_q in enumerate(delay_offsets(spec.sigma, spec.image_width)):
-        d = spec.d_max - d_q
-        out[:, :, q, d:d + n] = streams
-    return out
-
-
-def _valid_mask(spec: ConvLayerSpec) -> np.ndarray:
-    width = spec.image_width ** 2 + spec.d_max
-    valid = np.zeros(width, dtype=bool)
-    m = np.arange(spec.valid_width)
-    cols = (m[:, None] * spec.image_width + m[None, :]).reshape(-1)
-    valid[cols + spec.d_max] = True
-    return valid
-
-
 def forward_batch(
     images: np.ndarray,
     programming: WeightProgramming,
     spec: ConvLayerSpec,
     faults: AnalogFaultModel = IDEAL,
     rng: np.random.Generator | None = None,
-    return_branches: bool = False,
-):
-    """Analog forward pass over a batch of images.
+) -> np.ndarray:
+    """Analog forward pass over a batch of images, shape (B, C_O, V, V).
 
-    Returns outputs of shape (B, C_O, V, V); optionally also the detected
-    per-branch traces (B, C_O, Q, T).  ``rng`` defaults to a generator
-    seeded from ``faults.seed``.
+    Computes rescale * (im2col(x) @ (gains * settings)) plus one Gaussian
+    draw of variance Q * sigma_n^2 * rescale^2 per output element: the sum
+    of the Q independent branch noises at each valid time step.  ``rng``
+    defaults to a generator seeded from ``faults.seed``.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 4 or images.shape[1:] != (
@@ -148,40 +137,24 @@ def forward_batch(
             f"batch shape {images.shape} != "
             f"(B, {spec.c_in}, {spec.image_width}, {spec.image_width})"
         )
+    if not np.all(np.isfinite(images)):
+        raise EncodingError("non-finite image values cannot be intensity-encoded")
     if np.min(images, initial=0.0) < 0:
         raise EncodingError(
             "negative image values cannot be intensity-encoded"
         )
-    if rng is None:
-        rng = np.random.default_rng(faults.seed)
 
-    delayed = _delayed_batch(images, spec)              # (B, C_I, Q, T)
+    cols, (b, v_h, v_w) = im2col(images, spec.sigma)    # (B*V*V, C_I*Q)
     eff = faults.gains(spec) * programming.settings     # (C_I, Q, C_O)
-    branches = np.einsum("uqv,buqt->bvqt", eff, delayed)
+    rescale = programming.rescale
+    out = cols @ (rescale * eff.reshape(spec.c_in * spec.q, spec.c_out))
     sigma_n = faults.noise_sigma(spec)
     if sigma_n > 0:
-        branches = branches + rng.normal(0.0, sigma_n, size=branches.shape)
-
-    summed = programming.rescale * branches.sum(axis=2)  # (B, C_O, T)
-    v_w = spec.valid_width
-    outputs = summed[:, :, _valid_mask(spec)].reshape(-1, spec.c_out, v_w, v_w)
-    if return_branches:
-        return outputs, branches
-    return outputs
-
-
-def photonic_conv_forward(
-    images,
-    programming: WeightProgramming,
-    spec: ConvLayerSpec,
-    faults: AnalogFaultModel = IDEAL,
-):
-    """Single-image forward pass; returns (output (C_O,V,V), branch traces)."""
-    out, branches = forward_batch(
-        np.asarray(images, dtype=float)[None], programming, spec, faults,
-        return_branches=True,
-    )
-    return out[0], branches[0]
+        if rng is None:
+            rng = np.random.default_rng(faults.seed)
+        out += rng.normal(0.0, rescale * sigma_n * np.sqrt(spec.q),
+                          size=out.shape)
+    return out.reshape(b, v_h, v_w, spec.c_out).transpose(0, 3, 1, 2)
 
 
 def sample_imbalance(
@@ -202,10 +175,11 @@ def sample_imbalance(
         raise InvalidSpecError(
             "a nonzero imbalance level needs at least two signal paths"
         )
-    rng = np.random.default_rng(seed)
-    raw_db = rng.uniform(-level_db / 2, level_db / 2, size=shape)
-    lo, hi = raw_db.min(), raw_db.max()
-    stretched = (raw_db - lo) / (hi - lo) * level_db - level_db / 2
+    # Draw on [0, 1) and stretch after: draws scaled by a subnormal level
+    # would collapse to one value, and a zero span divides 0 by 0.
+    raw = np.random.default_rng(seed).random(shape)
+    lo, hi = raw.min(), raw.max()
+    stretched = (raw - lo) / (hi - lo) * level_db - level_db / 2
     return 10 ** (stretched / 10)
 
 

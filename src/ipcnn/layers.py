@@ -31,6 +31,23 @@ class Layer:
         raise NotImplementedError
 
 
+def im2col(x: np.ndarray, kernel: int):
+    """Stride-1, pad-free patch matrix of a (B, C, H, W) batch.
+
+    Returns ``(cols, (B, H', W'))`` with ``cols`` of shape
+    (B*H'*W', C*k*k), H' = H - k + 1.  Row (b*H' + m)*W' + n is the patch
+    at output position (m, n) of image b; column u*k*k + i*k + j holds
+    x[b, u, m+i, n+j], the u*Q + q order of
+    ``conv_math.kernels_to_weight_matrix``.  One GEMM against the flattened
+    kernels then evaluates the convolution (Chellapilla et al. 2006).
+    """
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    b, c, h, w, _, _ = windows.shape
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w,
+                                                       c * kernel * kernel)
+    return cols, (b, h, w)
+
+
 class Conv2D(Layer):
     """Stride-1 2-D convolution (cross-correlation) with zero padding."""
 
@@ -54,11 +71,7 @@ class Conv2D(Layer):
             )
         p = self.pad
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        windows = sliding_window_view(xp, (self.kernel, self.kernel),
-                                      axis=(2, 3))
-        b, _, h, w, _, _ = windows.shape
-        # im2col + GEMM: (B*H*W, C_in*k*k) @ (C_in*k*k, C_out)
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, -1)
+        cols, (b, h, w) = im2col(xp, self.kernel)
         if train:
             self._windows = cols, (b, h, w)
         out = cols @ self.w.reshape(self.c_out, -1).T
@@ -74,9 +87,7 @@ class Conv2D(Layer):
         # Full correlation of grad with the flipped kernel gives dx in
         # padded coordinates.
         gp = np.pad(grad, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-        gw = sliding_window_view(gp, (k, k), axis=(2, 3))
-        bh, bw = gw.shape[2], gw.shape[3]
-        gcols = gw.transpose(0, 2, 3, 1, 4, 5).reshape(b * bh * bw, -1)
+        gcols, (_, bh, bw) = im2col(gp, k)
         w_flip = self.w[:, :, ::-1, ::-1]
         # matrix with rows indexed (o, i, j) to match gcols' column order
         w_mat = w_flip.transpose(0, 2, 3, 1).reshape(-1, self.c_in)
@@ -115,11 +126,14 @@ class MaxPool2(Layer):
         b, c, h, w = x.shape
         if h % 2 or w % 2:
             raise DimensionError(f"pooling needs even height/width, got {x.shape}")
+        if not train:
+            # same values as the tile max below, without the tile copy
+            return np.maximum(np.maximum(x[:, :, ::2, ::2], x[:, :, ::2, 1::2]),
+                              np.maximum(x[:, :, 1::2, ::2], x[:, :, 1::2, 1::2]))
         tiles = x.reshape(b, c, h // 2, 2, w // 2, 2)
         tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
-        if train:
-            self._argmax = tiles.argmax(axis=-1)
-            self._shape = x.shape
+        self._argmax = tiles.argmax(axis=-1)
+        self._shape = x.shape
         return tiles.max(axis=-1)
 
     def backward(self, grad):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipcnn.analog import (
     IDEAL,
@@ -8,13 +10,19 @@ from ipcnn.analog import (
     calibrate,
     forward_batch,
     measure_imbalance,
-    photonic_conv_forward,
     probe_path_responses,
     program_weights,
     sample_imbalance,
 )
-from ipcnn.conv_math import ConvLayerSpec, conv2d_reference
+from ipcnn.conv_math import (
+    ConvLayerSpec,
+    build_delayed_matrix,
+    conv2d_reference,
+    gemm_conv,
+    valid_output,
+)
 from ipcnn.errors import DimensionError, EncodingError, InvalidSpecError
+from ipcnn.layers import Conv2D
 
 
 SPEC = ConvLayerSpec(c_in=2, c_out=3, sigma=3, image_width=8)
@@ -55,7 +63,7 @@ class TestProgramming:
 class TestIdealForward:
     def test_matches_reference(self):
         x, w = random_instance(2)
-        out, _ = photonic_conv_forward(x, program_weights(w, SPEC), SPEC)
+        out = forward_batch(x[None], program_weights(w, SPEC), SPEC)[0]
         ref = conv2d_reference(x, w, SPEC)
         scale = max(np.max(np.abs(ref)), 1.0)
         assert np.max(np.abs(out - ref)) / scale < 1e-12
@@ -67,14 +75,28 @@ class TestIdealForward:
         prog = program_weights(w, SPEC)
         batch = forward_batch(xs, prog, SPEC)
         for i in range(4):
-            single, _ = photonic_conv_forward(xs[i], prog, SPEC)
+            single = forward_batch(xs[i][None], prog, SPEC)[0]
             np.testing.assert_allclose(batch[i], single, rtol=1e-12,
                                        atol=1e-14)
+
+    def test_empty_batch(self):
+        _, w = random_instance(4)
+        out = forward_batch(np.zeros((0, SPEC.c_in, 8, 8)),
+                            program_weights(w, SPEC), SPEC)
+        assert out.shape == (0, SPEC.c_out, 6, 6)
 
     def test_negative_input_rejected(self):
         _, w = random_instance(5)
         x = -np.ones((1, SPEC.c_in, 8, 8))
         with pytest.raises(EncodingError):
+            forward_batch(x, program_weights(w, SPEC), SPEC)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        _, w = random_instance(5)
+        x = np.ones((1, SPEC.c_in, 8, 8))
+        x[0, 1, 2, 3] = bad
+        with pytest.raises(EncodingError, match="non-finite"):
             forward_batch(x, program_weights(w, SPEC), SPEC)
 
     def test_shape_rejected(self):
@@ -83,11 +105,20 @@ class TestIdealForward:
             forward_batch(np.ones((1, SPEC.c_in, 7, 8)),
                           program_weights(w, SPEC), SPEC)
 
-    def test_branch_shape(self):
-        x, w = random_instance(7)
-        _, branches = photonic_conv_forward(x, program_weights(w, SPEC), SPEC)
-        assert branches.shape == (SPEC.c_out, SPEC.q,
-                                  SPEC.image_width ** 2 + SPEC.d_max)
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_unit_gains_match_digital_conv(self, pad):
+        # the digital layer and the analog model share one im2col lowering
+        rng = np.random.default_rng(7)
+        layer = Conv2D(SPEC.c_in, SPEC.c_out, kernel=SPEC.sigma, pad=pad,
+                       rng=rng)
+        layer.b[...] = rng.standard_normal(SPEC.c_out)
+        x = rng.random((3, SPEC.c_in, 8 - 2 * pad, 8 - 2 * pad))
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        prog = program_weights(layer.w.transpose(1, 0, 2, 3), SPEC)
+        out = forward_batch(xp, prog, SPEC)
+        ref = layer.forward(x) - layer.b[None, :, None, None]
+        scale = max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(out - ref)) / scale < 1e-12
 
 
 class TestNoise:
@@ -96,32 +127,34 @@ class TestNoise:
         assert faults.noise_sigma(SPEC) == pytest.approx(0.1, rel=1e-12)
         assert AnalogFaultModel().noise_sigma(SPEC) == 0.0
 
-    def test_branch_noise_rms(self):
-        # noise-only RMS of the branch traces at -10 dBc over >1e4 samples
-        prog = program_weights(np.zeros((2, 3, 3, 3)), SPEC)
+    def test_output_noise_moments(self):
+        # zero input: the output is the summed noise of Q branches of
+        # variance 0.01 each, scaled by the digital rescale
+        _, w = random_instance(11)
+        prog = program_weights(w, SPEC)
         faults = AnalogFaultModel(neop_dbc=-10.0, seed=11)
-        x = np.zeros((20, SPEC.c_in, 8, 8))
-        _, branches = forward_batch(x, prog, SPEC, faults,
-                                    return_branches=True)
-        assert branches.size > 1e4
-        assert np.std(branches) == pytest.approx(0.1, rel=0.05)
-        assert abs(np.mean(branches)) < 0.01
+        x = np.zeros((200, SPEC.c_in, 8, 8))
+        out = forward_batch(x, prog, SPEC, faults)
+        expected = SPEC.q * 0.1 ** 2 * prog.rescale ** 2
+        assert out.size > 2e4
+        assert abs(np.mean(out)) < 5 * np.sqrt(expected / out.size)
+        assert np.var(out) == pytest.approx(expected, rel=0.05)
 
     def test_deterministic_given_seed(self):
         x, w = random_instance(8)
         prog = program_weights(w, SPEC)
         faults = AnalogFaultModel(neop_dbc=-15.0, seed=42)
-        a, _ = photonic_conv_forward(x, prog, SPEC, faults)
-        b, _ = photonic_conv_forward(x, prog, SPEC, faults)
+        a = forward_batch(x[None], prog, SPEC, faults)[0]
+        b = forward_batch(x[None], prog, SPEC, faults)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         x, w = random_instance(9)
         prog = program_weights(w, SPEC)
-        a, _ = photonic_conv_forward(
-            x, prog, SPEC, AnalogFaultModel(neop_dbc=-15.0, seed=1))
-        b, _ = photonic_conv_forward(
-            x, prog, SPEC, AnalogFaultModel(neop_dbc=-15.0, seed=2))
+        a = forward_batch(
+            x[None], prog, SPEC, AnalogFaultModel(neop_dbc=-15.0, seed=1))[0]
+        b = forward_batch(
+            x[None], prog, SPEC, AnalogFaultModel(neop_dbc=-15.0, seed=2))[0]
         assert not np.array_equal(a, b)
 
     def test_output_noise_scales_with_rescale(self):
@@ -137,11 +170,45 @@ class TestNoise:
         np.testing.assert_allclose(out_big, 10 * out_small, rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    c_in=st.integers(1, 4),
+    c_out=st.integers(1, 4),
+    sigma=st.sampled_from([1, 2, 3, 5]),
+    extra=st.integers(0, 9),
+    level_db=st.floats(0.0, 10.0),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_batch_matches_delay_line_oracle(c_in, c_out, sigma, extra,
+                                                 level_db, data_seed):
+    width = min(sigma + extra, 10)
+    spec = ConvLayerSpec(c_in, c_out, sigma, width)
+    rng = np.random.default_rng(data_seed)
+    xs = rng.random((2, c_in, width, width))
+    w = rng.standard_normal((c_in, c_out, sigma, sigma))
+    if c_in * spec.q * c_out < 2:
+        level_db = 0.0
+    gains = sample_imbalance(spec, level_db, seed=data_seed)
+    prog = program_weights(w, spec)
+    out = forward_batch(xs, prog, spec, AnalogFaultModel(path_gains=gains))
+    # (C_I, Q, C_O) -> W_eff of shape (C_O, C_I*Q), rows ordered u*Q + q
+    w_eff = (gains * prog.settings).transpose(2, 0, 1).reshape(c_out, -1)
+    for x, y in zip(xs, out):
+        delayed = build_delayed_matrix(x, spec)
+        ref = prog.rescale * valid_output(gemm_conv(w_eff, delayed), delayed)
+        scale = max(np.max(np.abs(ref)), 1e-300)
+        assert np.max(np.abs(y - ref)) / scale <= 1e-12
+
+
 class TestImbalance:
     def test_exact_level(self):
         gains = sample_imbalance(SPEC, 6.0, seed=3)
         ratio_db = 10 * np.log10(gains.max() / gains.min())
         assert ratio_db == pytest.approx(6.0, abs=1e-12)
+
+    def test_subnormal_level_gives_finite_gains(self):
+        gains = sample_imbalance(SPEC, 5e-324, seed=0)
+        np.testing.assert_array_equal(gains, np.ones((2, 9, 3)))
 
     def test_zero_level_is_unity(self):
         np.testing.assert_array_equal(sample_imbalance(SPEC, 0.0, seed=0),
@@ -183,7 +250,7 @@ class TestCalibration:
         table = calibrate(SPEC, faults)
         assert table.residual < 1e-12
         fixed = apply_calibration(prog, table)
-        out, _ = photonic_conv_forward(x, fixed, SPEC, faults)
+        out = forward_batch(x[None], fixed, SPEC, faults)[0]
         ref = conv2d_reference(x, w, SPEC)
         scale = max(np.max(np.abs(ref)), 1.0)
         assert np.max(np.abs(out - ref)) / scale < 1e-9

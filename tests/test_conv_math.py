@@ -126,6 +126,13 @@ class TestDelayedMatrix:
         assert delayed.valid_mask.sum() == 16
         assert delayed.data.shape == (9, 36 + 14)
 
+    def test_delayed_width(self):
+        # Q delayed copies per channel; the stream grows by D_max samples
+        spec = ConvLayerSpec(2, 3, 3, 8)
+        delayed = build_delayed_matrix(np.ones((2, 8, 8)), spec)
+        assert delayed.data.shape == (spec.c_in * spec.q,
+                                      spec.image_width ** 2 + spec.d_max)
+
     def test_valid_part_equals_im2col(self):
         spec = ConvLayerSpec(2, 1, 3, 8)
         rng = np.random.default_rng(4)

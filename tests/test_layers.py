@@ -134,6 +134,16 @@ class TestForwardShapes:
         out = MaxPool2().forward(x)
         np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_pool_inference_matches_tile_path(self, ties):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((3, 4, 8, 6))
+        if ties:
+            x = np.round(x)
+            x[0, 0] = 0.0
+        np.testing.assert_array_equal(MaxPool2().forward(x),
+                                      MaxPool2().forward(x, train=True))
+
     def test_dense_width_checked(self):
         layer = Dense(7, 4, rng=np.random.default_rng(0))
         with pytest.raises(DimensionError):
