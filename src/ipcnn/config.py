@@ -10,42 +10,40 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .design_space import HardwareConfig
 from .errors import ConfigError
-from .optics import SPEED_OF_LIGHT, dbm_to_watts
+from .optics import SPEED_OF_LIGHT, dbm_to_watts, watts_to_dbm
 
 SCHEMA_VERSION = 1
 
+# Config key of each HardwareConfig field whose key is not the field's own
+# name.  HardwareConfig holds every hardware default.
+_RENAMED_KEYS = {"f_m": "f_m_hz", "neop": "neop_w",
+                 "power_cap": "power_cap_dbm", "group_velocity": "group_index",
+                 "p_mrr": "p_mrr_w", "p_tia": "p_tia_w", "p_mod": "p_mod_w",
+                 "e_adc": "e_adc_j_per_sample"}
+# config key -> HardwareConfig field
+_HARDWARE_FIELDS = {_RENAMED_KEYS.get(f.name, f.name): f.name
+                    for f in fields(HardwareConfig)}
+# the keys whose unit differs from their field's: (key -> field, field -> key)
+_HARDWARE_UNITS = {
+    "power_cap_dbm": (dbm_to_watts, watts_to_dbm),
+    "group_index": (lambda n: SPEED_OF_LIGHT / n,
+                    lambda v: SPEED_OF_LIGHT / v),
+}
+_SAME_UNIT = (lambda x: x, lambda x: x)
+
 DEFAULT_CONFIG: dict = {
     "hardware": {
-        "c_in": 64,
-        "c_out": 32,
-        "q": 9,
-        "f_m_hz": 5.0e9,
-        "neop_w": 6.3e-6,
-        "snr_target": 10.0,
-        "power_cap_dbm": 20.0,
-        "loss_wdm_to_pd_db": 6.4,
-        "loss_modulator_db": 4.0,
-        "loss_input_port_db": 2.0,
-        "loss_wdm_stage_db": 1.0,
-        "loss_delay_per_meter_db": 0.5,
-        "group_index": 2.0,
-        "p_mrr_w": 0.0195,
-        "p_tia_w": 0.0022,
-        "p_mod_w": 0.09,
-        "e_adc_j_per_sample": 1.0e-12,
-        "wall_plug_efficiency": 0.05,
-    },
-    "noise_budget": {
-        "pd_noise_w_per_rthz": 30.0e-12,
-        "pd_responsivity_a_per_w": 0.9,
-        "tia_noise_a_per_rthz": 50.0e-12,
-        "bandwidth_hz": 10.0e9,
+        key: _HARDWARE_UNITS.get(key, _SAME_UNIT)[1](
+            getattr(HardwareConfig(), field))
+        for key, field in _HARDWARE_FIELDS.items()
     },
     "network": {
         "epochs": 5,
@@ -95,8 +93,37 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-# keys whose value may be JSON null
-_NULLABLE = {"dataset.directory", "faults.neop_dbc"}
+# keys whose value may be JSON null, with an example of the type they take
+_NULLABLE = {"dataset.directory": "", "faults.neop_dbc": 0.0}
+
+
+def _check_value(path: str, default, value):
+    """Check one value against its default's type; return it normalized.
+
+    Numbers must be finite.  Where the default is an integer the value must
+    be integral and >= 1, or >= 0 for seeds; it is returned as an int.
+    """
+    kinds = {bool: "a boolean", str: "a string"}
+    if type(default) in kinds:
+        if type(value) is not type(default):
+            raise ConfigError(f"{path!r} must be {kinds[type(default)]}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path!r} must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{path!r} must be a finite number, got {value!r}")
+    if isinstance(default, float):
+        return value
+    if value != int(value):
+        raise ConfigError(f"{path!r} must be an integer, got {value!r}")
+    minimum = 0 if "seed" in path else 1
+    if value < minimum:
+        raise ConfigError(f"{path!r} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _merge(defaults: dict, overrides: dict, prefix: str = "") -> dict:
@@ -110,20 +137,20 @@ def _merge(defaults: dict, overrides: dict, prefix: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{path!r} must be a section (object)")
             merged[key] = _merge(default, value, prefix=f"{path}.")
-            continue
-        if value is None:
+        elif value is None:
             if path not in _NULLABLE:
                 raise ConfigError(f"{path!r} may not be null")
-        elif isinstance(default, bool) != isinstance(value, bool):
-            raise ConfigError(f"{path!r} must be a boolean")
-        elif isinstance(default, (int, float)) and not isinstance(
-                value, (int, float)):
-            raise ConfigError(f"{path!r} must be a number")
-        elif isinstance(default, str) and not isinstance(value, str):
-            raise ConfigError(f"{path!r} must be a string")
-        elif isinstance(default, list) and not isinstance(value, list):
-            raise ConfigError(f"{path!r} must be a list")
-        merged[key] = value
+            merged[key] = None
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{path!r} must be a list")
+            if not value:
+                raise ConfigError(f"{path!r} must not be empty")
+            merged[key] = [_check_value(f"{path}[{i}]", default[0], v)
+                           for i, v in enumerate(value)]
+        else:
+            merged[key] = _check_value(path, _NULLABLE.get(path, default),
+                                       value)
     for key, default in defaults.items():
         if key not in merged:
             merged[key] = json.loads(json.dumps(default)) \
@@ -156,26 +183,10 @@ def config_hash(config: dict) -> str:
 
 def to_hardware_config(config: dict) -> HardwareConfig:
     hw = config["hardware"]
-    return HardwareConfig(
-        c_in=int(hw["c_in"]),
-        c_out=int(hw["c_out"]),
-        q=int(hw["q"]),
-        f_m=hw["f_m_hz"],
-        neop=hw["neop_w"],
-        snr_target=hw["snr_target"],
-        power_cap=dbm_to_watts(hw["power_cap_dbm"]),
-        loss_wdm_to_pd_db=hw["loss_wdm_to_pd_db"],
-        loss_modulator_db=hw["loss_modulator_db"],
-        loss_input_port_db=hw["loss_input_port_db"],
-        loss_wdm_stage_db=hw["loss_wdm_stage_db"],
-        loss_delay_per_meter_db=hw["loss_delay_per_meter_db"],
-        group_velocity=SPEED_OF_LIGHT / hw["group_index"],
-        p_mrr=hw["p_mrr_w"],
-        p_tia=hw["p_tia_w"],
-        p_mod=hw["p_mod_w"],
-        e_adc=hw["e_adc_j_per_sample"],
-        wall_plug_efficiency=hw["wall_plug_efficiency"],
-    )
+    return HardwareConfig(**{
+        field: _HARDWARE_UNITS.get(key, _SAME_UNIT)[0](hw[key])
+        for key, field in _HARDWARE_FIELDS.items()
+    })
 
 
 def fault_neop_dbc(config: dict) -> float:

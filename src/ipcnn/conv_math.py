@@ -230,9 +230,8 @@ def valid_output(y_full: np.ndarray, delayed: DelayedMatrix) -> np.ndarray:
     return y_full[:, delayed.valid_mask].reshape(spec.c_out, v_w, v_w)
 
 
-def physical_delay(d_q: int, f_m: float, group_velocity: float) -> tuple[float, float]:
-    """Convert a clock-cycle delay to (seconds, meters) at modulation rate f_m."""
+def physical_delay(d_q, f_m: float, group_velocity: float) -> tuple:
+    """Convert clock-cycle delay(s) to (seconds, meters) at modulation rate f_m."""
     if f_m <= 0:
         raise InvalidSpecError(f"modulation rate must be positive, got {f_m}")
-    time = d_q / f_m
-    return time, time * group_velocity
+    return d_q / f_m, d_q * group_velocity / f_m

@@ -11,18 +11,52 @@ config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
+from .conv_math import ConvLayerSpec, physical_delay
 from .errors import InfeasibleDesignError, InvalidSpecError
 from .optics import DEFAULT_GROUP_VELOCITY
-
-ARCHITECTURES = ("IPCNN", "DEAP", "BW", "Coherent")
 
 # Comparison architectures carry no delay lines; their end-to-end insertion
 # loss is taken 4 dB below the delay-buffered chain.
 COMPARATIVE_LOSS_ADVANTAGE_DB = 4.0
+
+
+class Architecture(NamedTuple):
+    """One row of ARCHITECTURES: device counts as products of C_I, C_O, Q.
+
+    The rows are the delay-buffered design and three delay-line-free
+    comparisons: DEAP-CNN (Bangari et al., arXiv 1907.01525) evaluates one
+    output channel per cycle, broadcast-and-weight (Tait et al., Sci. Rep.
+    2017) one kernel tap position per cycle, and the coherent mesh (Shen et
+    al., Nat. Photonics 2017) all C_I*C_O*Q products, as IPCNN does.
+    """
+
+    branches: str
+    modulators: str
+    modulator_power: str   # HardwareConfig field: "p_mod" (MZM) | "p_mrr"
+    weights: str
+    tias: str
+    adcs: str
+    macs_per_cycle: str
+    loss_advantage_db: float
+
+
+ARCHITECTURES = {
+    "IPCNN": Architecture("C_O*Q", "C_I", "p_mod", "C_I*C_O*Q", "C_O*Q",
+                          "C_O", "C_I*C_O*Q", 0.0),
+    "DEAP": Architecture("Q", "C_I*Q", "p_mrr", "C_I*Q", "Q", "1", "C_I*Q",
+                         COMPARATIVE_LOSS_ADVANTAGE_DB),
+    "BW": Architecture("C_O", "C_I", "p_mod", "C_I*C_O", "C_O", "C_O",
+                       "C_I*C_O", COMPARATIVE_LOSS_ADVANTAGE_DB),
+    "Coherent": Architecture("C_O*Q", "C_I*Q", "p_mod", "C_I*C_O*Q", "C_O",
+                             "C_O", "C_I*C_O*Q",
+                             COMPARATIVE_LOSS_ADVANTAGE_DB),
+}
 
 # Tolerance for "exact integer" scale counts: a branch count that misses an
 # integer by float noise only still counts as feasible.
@@ -37,7 +71,10 @@ class HardwareConfig:
     c_out: int = 32
     q: int = 9
     f_m: float = 5e9                      # Hz
-    neop: float = 6.3e-6                  # W, aggregate at the detector
+    # W, aggregate at the detector: optics.aggregate_neop(30 pW/sqrt(Hz)
+    # photodetector, 0.9 A/W, 50 pA/sqrt(Hz) TIA, 10 GHz) = 6.31 uW, used
+    # rounded to the evaluated operating point's 6.3 uW
+    neop: float = 6.3e-6
     snr_target: float = 10.0              # linear power ratio
     power_cap: float = 0.1                # W (20 dBm) at the shared waveguide
     loss_wdm_to_pd_db: float = 6.4        # splitting network + MRRs + drops
@@ -78,7 +115,7 @@ class HardwareConfig:
     @property
     def mac_rate(self) -> float:
         """Nominal MAC/s at full scale."""
-        return self.c_in * self.c_out * self.q * self.f_m
+        return architecture_mac_rate("IPCNN", self)
 
 
 @dataclass(frozen=True)
@@ -135,8 +172,8 @@ class SpeedResult:
 def delay_line_loss_db(config: HardwareConfig, image_width: int,
                        sigma: int) -> float:
     """Loss of the longest delay line: D_max cycles at f_m, in meters."""
-    d_max = (sigma - 1) * (image_width + 1)
-    length = d_max * config.group_velocity / config.f_m
+    spec = ConvLayerSpec(config.c_in, config.c_out, sigma, image_width)
+    _, length = physical_delay(spec.d_max, config.f_m, config.group_velocity)
     return config.loss_delay_per_meter_db * length
 
 
@@ -149,24 +186,25 @@ def speed(config: HardwareConfig, image_width: int, sigma: int) -> SpeedResult:
     delay_loss = delay_line_loss_db(config, image_width, sigma)
     base = config.loss_wdm_to_pd_db
 
-    def rate(total_loss_db: float) -> tuple[float, ScaleResult]:
-        result = max_scale(config.power_cap, total_loss_db, config.neop,
-                           config.snr_target)
-        c_out_eff = min(config.c_out, result.scale // config.q)
+    def rate(total_loss_db: float) -> tuple[float, int, int]:
+        """(MAC/s, scale, effective C_O) at one chain loss."""
+        scale = max_scale(config.power_cap, total_loss_db, config.neop,
+                          config.snr_target).scale
+        c_out_eff = min(config.c_out, scale // config.q)
         if c_out_eff < 1:
             raise InfeasibleDesignError(
-                f"scale {result.scale} cannot support a single output "
+                f"scale {scale} cannot support a single output "
                 f"channel of q = {config.q}"
             )
-        return config.c_in * c_out_eff * config.q * config.f_m, result
+        return config.c_in * c_out_eff * config.q * config.f_m, scale, c_out_eff
 
-    macs, scale_result = rate(base + delay_loss)
-    lossless, _ = rate(base)
+    macs, scale, c_out_eff = rate(base + delay_loss)
+    lossless, _, _ = rate(base)
     return SpeedResult(
         macs_per_second=macs,
         lossless_macs_per_second=lossless,
-        scale=scale_result.scale,
-        effective_c_out=int(macs / (config.c_in * config.q * config.f_m)),
+        scale=scale,
+        effective_c_out=c_out_eff,
         delay_loss_db=delay_loss,
     )
 
@@ -216,82 +254,50 @@ def _laser_power(config: HardwareConfig, branches: int,
     return optical / config.wall_plug_efficiency
 
 
+def _architecture(name: str) -> Architecture:
+    try:
+        return ARCHITECTURES[name]
+    except KeyError:
+        raise InvalidSpecError(
+            f"unknown architecture {name!r}; expected one of "
+            f"{tuple(ARCHITECTURES)}"
+        ) from None
+
+
+def _count(term: str, config: HardwareConfig) -> int:
+    """Evaluate a device count such as "C_I*C_O*Q" at the config's sizes."""
+    sizes = {"1": 1, "C_I": config.c_in, "C_O": config.c_out, "Q": config.q}
+    return math.prod(sizes[factor] for factor in term.split("*"))
+
+
 def energy_budget_ipcnn(config: HardwareConfig) -> PowerBudget:
-    return PowerBudget(
-        architecture="IPCNN",
-        lasers=_laser_power(config, config.c_out * config.q,
-                            config.total_insertion_loss_db),
-        eo_modulation=config.c_in * config.p_mod,
-        weighting=config.c_in * config.c_out * config.q * config.p_mrr,
-        tia=config.c_out * config.q * config.p_tia,
-        adc=config.c_out * config.f_m * config.e_adc,
-    )
+    return energy_budget_comparative("IPCNN", config)
 
 
 def energy_budget_comparative(architecture: str,
                               config: HardwareConfig) -> PowerBudget:
-    """Budgets for the delay-line-free comparison architectures.
-
-    Device counts: DEAP drives C_I*Q MRR-type input modulators and C_I*Q
-    weighting MRRs with Q detector branches; BW drives C_I MZMs and
-    C_I*C_O weighting MRRs with C_O branches; Coherent drives C_I*Q MZMs
-    and C_I*C_O*Q phase shifters with C_O*Q branches.
-    """
-    chain = config.total_insertion_loss_db - COMPARATIVE_LOSS_ADVANTAGE_DB
+    """Power budget of one architecture from its ARCHITECTURES row."""
+    arch = _architecture(architecture)
+    chain = config.total_insertion_loss_db - arch.loss_advantage_db
     if chain < 0:
         raise InvalidSpecError(
             "comparative chain loss went negative; lower the 4 dB advantage"
         )
-    if architecture == "IPCNN":
-        return energy_budget_ipcnn(config)
-    if architecture == "DEAP":
-        return PowerBudget(
-            architecture="DEAP",
-            lasers=_laser_power(config, config.q, chain),
-            eo_modulation=config.c_in * config.q * config.p_mrr,
-            weighting=config.c_in * config.q * config.p_mrr,
-            tia=config.q * config.p_tia,
-            adc=1 * config.f_m * config.e_adc,
-        )
-    if architecture == "BW":
-        return PowerBudget(
-            architecture="BW",
-            lasers=_laser_power(config, config.c_out, chain),
-            eo_modulation=config.c_in * config.p_mod,
-            weighting=config.c_in * config.c_out * config.p_mrr,
-            tia=config.c_out * config.p_tia,
-            adc=config.c_out * config.f_m * config.e_adc,
-        )
-    if architecture == "Coherent":
-        return PowerBudget(
-            architecture="Coherent",
-            lasers=_laser_power(config, config.c_out * config.q, chain),
-            eo_modulation=config.c_in * config.q * config.p_mod,
-            weighting=config.c_in * config.c_out * config.q * config.p_mrr,
-            tia=config.c_out * config.p_tia,
-            adc=config.c_out * config.f_m * config.e_adc,
-        )
-    raise InvalidSpecError(
-        f"unknown architecture {architecture!r}; expected one of {ARCHITECTURES}"
+    return PowerBudget(
+        architecture=architecture,
+        lasers=_laser_power(config, _count(arch.branches, config), chain),
+        eo_modulation=(_count(arch.modulators, config)
+                       * getattr(config, arch.modulator_power)),
+        weighting=_count(arch.weights, config) * config.p_mrr,
+        tia=_count(arch.tias, config) * config.p_tia,
+        adc=_count(arch.adcs, config) * config.f_m * config.e_adc,
     )
 
 
 def architecture_mac_rate(architecture: str, config: HardwareConfig) -> float:
-    """MACs per second each architecture completes at the same f_m.
-
-    IPCNN and the coherent mesh finish all C_I*C_O*Q products every cycle;
-    DEAP evaluates one output channel (C_I*Q) per cycle; broadcast-and-
-    weight evaluates one kernel tap position (C_I*C_O) per cycle.
-    """
-    if architecture in ("IPCNN", "Coherent"):
-        return config.c_in * config.c_out * config.q * config.f_m
-    if architecture == "DEAP":
-        return config.c_in * config.q * config.f_m
-    if architecture == "BW":
-        return config.c_in * config.c_out * config.f_m
-    raise InvalidSpecError(
-        f"unknown architecture {architecture!r}; expected one of {ARCHITECTURES}"
-    )
+    """MACs per second each architecture completes at the same f_m."""
+    arch = _architecture(architecture)
+    return _count(arch.macs_per_cycle, config) * config.f_m
 
 
 def efficiency(budget: PowerBudget, macs_per_second: float,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, TrainingError
+from .errors import DimensionError, InvalidSpecError, TrainingError
 from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2, ReLU, cross_entropy_loss
 
 ARCH_VERSION = 1
@@ -31,13 +31,13 @@ class Hyperparams:
 
     def validate(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise InvalidSpecError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
+            raise InvalidSpecError(f"learning rate must be > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise InvalidSpecError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+            raise InvalidSpecError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 class NetworkModel:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv_math import ConvLayerSpec, delay_offsets
+from .conv_math import ConvLayerSpec, delay_offsets, physical_delay
 from .errors import InfeasibleDesignError, InvalidSpecError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -65,13 +65,11 @@ def design_delay_bank(
     recurrence P_{k+1} = (P_k - E) a_k is linear in the common drop power
     E, and the last tap drops everything (coupling 1), which pins E.
     """
-    if f_m <= 0:
-        raise InvalidSpecError(f"modulation rate must be positive, got {f_m}")
     if loss_per_meter < 0:
         raise InvalidSpecError(f"loss must be >= 0 dB/m, got {loss_per_meter}")
 
     offsets = delay_offsets(spec.sigma, spec.image_width)
-    lengths = offsets * group_velocity / f_m
+    _, lengths = physical_delay(offsets, f_m, group_velocity)
     n_taps = len(offsets)
 
     # Segment transmissions between consecutive drops (first segment reaches
@@ -111,23 +109,6 @@ def design_delay_bank(
     )
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
-    """Photodetection noise sources and their aggregate NEOP."""
-
-    pd_noise: float            # W/sqrt(Hz), noise-equivalent power density
-    pd_responsivity: float     # A/W
-    tia_noise_current: float   # A/sqrt(Hz), input-inferred
-    bandwidth: float           # Hz
-
-    @property
-    def neop(self) -> float:
-        return aggregate_neop(
-            self.pd_noise, self.pd_responsivity,
-            self.tia_noise_current, self.bandwidth,
-        )
-
-
 def aggregate_neop(
     pd_noise: float,
     pd_responsivity: float,
@@ -147,18 +128,6 @@ def aggregate_neop(
     pd_term = pd_noise * rt_b
     tia_term = tia_noise_current * rt_b / pd_responsivity
     return float(np.hypot(pd_term, tia_term))
-
-
-@dataclass(frozen=True)
-class NonlinearityModel:
-    n2: float          # m^2/W
-    wavelength: float  # m
-    mode_area: float   # m^2
-    max_power: float   # W, waveguide power cap
-
-    @property
-    def gamma(self) -> float:
-        return nonlinear_coefficient(self.n2, self.wavelength, self.mode_area)
 
 
 def nonlinear_coefficient(n2: float, wavelength: float, mode_area: float) -> float:

@@ -194,6 +194,33 @@ class TestErrorPaths:
         assert main(["--config", str(path), "--out-dir", str(tmp_path),
                      "energy"]) == 2
 
+    @pytest.mark.parametrize("text, needle, command", [
+        ('{"hardware": {"c_in": 64.7}}', "hardware.c_in", "energy"),
+        ('{"hardware": {"f_m_hz": NaN}}', "hardware.f_m_hz", "design-space"),
+        ('{"hardware": {"snr_target": Infinity}}', "hardware.snr_target",
+         "energy"),
+        ('{"hardware": {"c_in": 1e400}}', "hardware.c_in", "energy"),
+        ('{"sweep": {"trials": 0}}', "sweep.trials", "sweep-imbalance"),
+        ('{"sweep": {"noise_seeds": []}}', "sweep.noise_seeds", "sweep-noise"),
+        ('{"sweep": {"imbalance_levels_db": []}}',
+         "sweep.imbalance_levels_db", "sweep-imbalance"),
+        ('{"dataset": {"subset": 0}}', "dataset.subset", "infer"),
+        ('{"network": {"epochs": 0}}', "network.epochs", "train"),
+        ('{"noise_budget": {"bandwidth_hz": 1e10}}', "noise_budget",
+         "energy"),
+        ('{"dataset": {"kind": "synthetic", "synthetic_train": 40, '
+         '"synthetic_test": 10}, "network": {"learning_rate": 0.0}}',
+         "learning rate", "train"),
+    ])
+    def test_bad_value_exit_two(self, tmp_path, capsys, text, needle,
+                                command):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out-dir", str(tmp_path),
+                     command]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and needle in err
+
     def test_unreadable_config_exit_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json"),
                      "--out-dir", str(tmp_path), "energy"]) == 2

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ipcnn.cli import main
 from ipcnn.config import (
     DEFAULT_CONFIG,
     config_hash,
@@ -10,6 +15,7 @@ from ipcnn.config import (
     load_config,
     to_hardware_config,
 )
+from ipcnn.design_space import HardwareConfig
 from ipcnn.errors import ConfigError
 
 
@@ -83,11 +89,112 @@ class TestLoading:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")
 
+    def test_integral_float_count_becomes_int(self, tmp_path):
+        config = load_config(write_config(tmp_path, {"hardware": {"c_in": 16.0}}))
+        assert config["hardware"]["c_in"] == 16
+        assert isinstance(config["hardware"]["c_in"], int)
+
+    def test_seed_may_be_zero(self, tmp_path):
+        config = load_config(write_config(tmp_path, {
+            "network": {"seed": 0}, "sweep": {"noise_seeds": [0]}}))
+        assert config["network"]["seed"] == 0
+
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
             load_config(path)
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("text, key", [
+        ('{"hardware": {"c_in": 64.7}}', "hardware.c_in"),
+        ('{"hardware": {"q": 9.5}}', "hardware.q"),
+        ('{"hardware": {"f_m_hz": NaN}}', "hardware.f_m_hz"),
+        ('{"hardware": {"snr_target": Infinity}}', "hardware.snr_target"),
+        ('{"hardware": {"c_in": 1e400}}', "hardware.c_in"),
+        pytest.param('{"hardware": {"c_in": 1%s}}' % ("0" * 400),
+                     "hardware.c_in", id="int-beyond-float-range"),
+        ('{"faults": {"neop_dbc": -Infinity}}', "faults.neop_dbc"),
+        ('{"faults": {"neop_dbc": "loud"}}', "faults.neop_dbc"),
+        ('{"dataset": {"directory": 3}}', "dataset.directory"),
+        ('{"sweep": {"trials": 0}}', "sweep.trials"),
+        ('{"sweep": {"noise_seeds": []}}', "sweep.noise_seeds"),
+        ('{"sweep": {"noise_seeds": [0, -1]}}', "sweep.noise_seeds[1]"),
+        ('{"sweep": {"noise_seeds": [0, 1.5]}}', "sweep.noise_seeds[1]"),
+        ('{"sweep": {"imbalance_levels_db": []}}', "sweep.imbalance_levels_db"),
+        ('{"sweep": {"noise_levels_dbc": [0.0, "x"]}}',
+         "sweep.noise_levels_dbc[1]"),
+        ('{"sweep": {"noise_levels_dbc": [[0.0]]}}',
+         "sweep.noise_levels_dbc[0]"),
+        ('{"dataset": {"subset": 0}}', "dataset.subset"),
+        ('{"network": {"epochs": 0}}', "network.epochs"),
+        ('{"network": {"seed": -1}}', "network.seed"),
+        ('{"equivalence": {"sigmas": [1, true]}}', "equivalence.sigmas[1]"),
+    ])
+    def test_rejected_naming_key(self, tmp_path, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert repr(key) in str(info.value)
+
+
+def _numeric_leaves(section, prefix=""):
+    """(dotted key, default) of every numeric or numeric-list config value."""
+    for key, default in section.items():
+        path = f"{prefix}{key}"
+        if isinstance(default, dict):
+            yield from _numeric_leaves(default, f"{path}.")
+        elif path == "faults.neop_dbc":
+            yield path, 0.0
+        elif isinstance(default, (int, float, list)) \
+                and not isinstance(default, bool):
+            yield path, default
+
+
+NUMERIC_LEAVES = sorted(_numeric_leaves(DEFAULT_CONFIG))
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def bad_number(default):
+    """Values no key with this default accepts."""
+    if isinstance(default, float):
+        return NON_FINITE
+    return st.one_of(
+        NON_FINITE,
+        st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
+        st.integers(max_value=-1),
+    )
+
+
+def bad_value(path, default):
+    if isinstance(default, list):
+        return st.one_of(st.just([]), bad_number(default[0]).map(
+            lambda v: default[:1] + [v]))
+    counts = bad_number(default)
+    if isinstance(default, int) and "seed" not in path:
+        counts = st.one_of(counts, st.just(0))
+    return counts
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(NUMERIC_LEAVES).flatmap(
+        lambda leaf: st.tuples(st.just(leaf[0]), bad_value(*leaf))))
+    def test_bad_value_exits_two(self, tmp_path_factory, case):
+        path, value = case
+        section, key = path.split(".")
+        directory = tmp_path_factory.mktemp("fuzz")
+        config = write_config(directory, {section: {key: value}})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--config", str(config), "--out-dir", str(directory),
+                         "energy"])
+        assert code == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error:") and path in lines[0]
 
 
 class TestHashing:
@@ -107,6 +214,16 @@ class TestHashing:
 
 class TestHardwareMapping:
     def test_defaults_map_to_operating_point(self):
+        assert to_hardware_config(load_config(None)) == HardwareConfig()
+        assert DEFAULT_CONFIG["hardware"] == {
+            "c_in": 64, "c_out": 32, "q": 9, "f_m_hz": 5.0e9,
+            "neop_w": 6.3e-6, "snr_target": 10.0, "power_cap_dbm": 20.0,
+            "loss_wdm_to_pd_db": 6.4, "loss_modulator_db": 4.0,
+            "loss_input_port_db": 2.0, "loss_wdm_stage_db": 1.0,
+            "loss_delay_per_meter_db": 0.5, "group_index": 2.0,
+            "p_mrr_w": 0.0195, "p_tia_w": 0.0022, "p_mod_w": 0.09,
+            "e_adc_j_per_sample": 1.0e-12, "wall_plug_efficiency": 0.05,
+        }
         hw = to_hardware_config(load_config(None))
         assert hw.c_in == 64 and hw.c_out == 32 and hw.q == 9
         assert hw.power_cap == pytest.approx(0.1)  # 20 dBm

@@ -17,6 +17,9 @@ from ipcnn.design_space import (
 from ipcnn.errors import InfeasibleDesignError, InvalidSpecError
 
 CFG = HardwareConfig()
+# 2 dB chain: below the comparison architectures' 4 dB loss advantage
+LOW_LOSS = HardwareConfig(loss_wdm_to_pd_db=0.5, loss_modulator_db=0.5,
+                          loss_input_port_db=0.5, loss_wdm_stage_db=0.5)
 
 
 class TestScale:
@@ -73,6 +76,13 @@ class TestSpeed:
         result = speed(CFG, 28, 3)
         assert result.macs_per_second == pytest.approx(92.16e12, rel=1e-9)
         assert result.effective_c_out == CFG.c_out
+
+    def test_scale_limits_output_channels(self):
+        # 297 branches feed 33 of 64 requested output channels of q = 9
+        result = speed(HardwareConfig(c_out=64), 28, 3)
+        assert result.scale == 297
+        assert result.effective_c_out == 33
+        assert result.macs_per_second == 64 * 33 * 9 * 5e9
 
     def test_delay_loss_value(self):
         # D_max = 58 cycles at 5 GHz, c/2, 0.5 dB/m
@@ -150,8 +160,14 @@ class TestEnergyBudgets:
         assert b.adc == pytest.approx(0.16, rel=1e-9)
 
     def test_ipcnn_selector(self):
-        assert energy_budget_comparative("IPCNN", CFG) == \
-            energy_budget_ipcnn(CFG)
+        for cfg in (CFG, LOW_LOSS):
+            assert energy_budget_comparative("IPCNN", cfg) == \
+                energy_budget_ipcnn(cfg)
+
+    def test_comparative_loss_below_advantage(self):
+        assert LOW_LOSS.total_insertion_loss_db < 4.0
+        with pytest.raises(InvalidSpecError, match="advantage"):
+            energy_budget_comparative("DEAP", LOW_LOSS)
 
     def test_unknown_architecture(self):
         with pytest.raises(InvalidSpecError, match="architecture"):

@@ -5,8 +5,6 @@ from ipcnn.conv_math import ConvLayerSpec
 from ipcnn.errors import InfeasibleDesignError, InvalidSpecError
 from ipcnn.optics import (
     DEFAULT_GROUP_VELOCITY,
-    NoiseBudget,
-    NonlinearityModel,
     aggregate_neop,
     check_power_cap,
     dbm_to_watts,
@@ -92,11 +90,6 @@ class TestNeop:
         doubled = aggregate_neop(30e-12, 0.9, 50e-12, 20e9)
         assert doubled == pytest.approx(base * np.sqrt(2), rel=1e-12)
 
-    def test_budget_dataclass(self):
-        budget = NoiseBudget(pd_noise=30e-12, pd_responsivity=0.9,
-                             tia_noise_current=50e-12, bandwidth=10e9)
-        assert budget.neop == aggregate_neop(30e-12, 0.9, 50e-12, 10e9)
-
     def test_invalid_inputs(self):
         with pytest.raises(InvalidSpecError):
             aggregate_neop(-1e-12, 0.9, 50e-12, 10e9)
@@ -120,12 +113,6 @@ class TestNonlinearity:
         g1 = nonlinear_coefficient(2.4e-19, 1550e-9, 1e-12)
         g2 = nonlinear_coefficient(2.4e-19, 1550e-9, 2e-12)
         assert g1 == pytest.approx(2 * g2, rel=1e-12)
-
-    def test_model_property(self):
-        model = NonlinearityModel(n2=2.4e-19, wavelength=1550e-9,
-                                  mode_area=0.702e-12, max_power=0.1)
-        assert model.gamma == nonlinear_coefficient(2.4e-19, 1550e-9,
-                                                    0.702e-12)
 
     def test_invalid(self):
         with pytest.raises(InvalidSpecError):
