@@ -381,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         config = load_config(args.config)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -158,10 +158,20 @@ def _merge(defaults: dict, overrides: dict, prefix: str = "") -> dict:
     return merged
 
 
+def _check_pairs(config: dict) -> dict:
+    """Checks that involve two keys, which ``_merge`` sees one at a time."""
+    eq = config["equivalence"]
+    if eq["max_width"] < max(eq["sigmas"]):
+        raise ConfigError(
+            f"'equivalence.max_width' ({eq['max_width']}) must be >= the "
+            f"largest of 'equivalence.sigmas' ({max(eq['sigmas'])})")
+    return config
+
+
 def load_config(path=None) -> dict:
     """Load and validate a JSON config; missing path -> pure defaults."""
     if path is None:
-        return _merge(DEFAULT_CONFIG, {})
+        return _check_pairs(_merge(DEFAULT_CONFIG, {}))
     path = Path(path)
     try:
         text = path.read_text()
@@ -173,7 +183,7 @@ def load_config(path=None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
+    return _check_pairs(_merge(DEFAULT_CONFIG, user))
 
 
 def config_hash(config: dict) -> str:

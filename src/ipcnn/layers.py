@@ -4,6 +4,12 @@ Only what the four-layer MNIST network needs: stride-1 conv with optional
 zero padding, ReLU, 2x2 max pooling, flatten, dense, and softmax
 cross-entropy.  Every backward pass is validated against central finite
 differences in the test suite.
+
+Conv forward and backward are GEMMs over ``im2col``; the input gradient
+lowers only the patches that land on the unpadded input, and the first
+layer skips it (``input_grad=False``).  Max pooling works on four stride-2
+slices.  Tests hold each route bit-equal to the textbook one (tile
+``argmax`` pooling, a (k-1)-padded full correlation cropped afterwards).
 """
 
 from __future__ import annotations
@@ -78,24 +84,29 @@ class Conv2D(Layer):
         return out.reshape(b, h, w, self.c_out).transpose(0, 3, 1, 2) \
             + self.b[None, :, None, None]
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        """Fill ``grads``; return dL/dx, or None if ``input_grad`` is False."""
         k, p = self.kernel, self.pad
         cols, (b, h, w) = self._windows
+        self._windows = None
         grad_cols = grad.transpose(0, 2, 3, 1).reshape(b * h * w, self.c_out)
         self.grads[0][...] = (grad_cols.T @ cols).reshape(self.w.shape)
         self.grads[1][...] = grad.sum(axis=(0, 2, 3))
-        # Full correlation of grad with the flipped kernel gives dx in
-        # padded coordinates.
-        gp = np.pad(grad, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-        gcols, (_, bh, bw) = im2col(gp, k)
+        if not input_grad:
+            return None
+        # dx is the full correlation of grad with the flipped kernel, cropped
+        # by p.  Padding grad by e = k-1-p instead of k-1 lowers only the
+        # patches of that interior; for p > k-1 grad is cropped by -e.
+        e = k - 1 - p
+        if e > 0:
+            grad = np.pad(grad, ((0, 0), (0, 0), (e, e), (e, e)))
+        elif e < 0:
+            grad = grad[:, :, -e:e, -e:e]
+        gcols, (_, bh, bw) = im2col(grad, k)
         w_flip = self.w[:, :, ::-1, ::-1]
         # matrix with rows indexed (o, i, j) to match gcols' column order
         w_mat = w_flip.transpose(0, 2, 3, 1).reshape(-1, self.c_in)
-        dxp = (gcols @ w_mat).reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
-        if p:
-            dxp = dxp[:, :, p:-p, p:-p]
-        self._windows = None
-        return dxp
+        return (gcols @ w_mat).reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
 
 
 class ReLU(Layer):
@@ -115,34 +126,42 @@ class ReLU(Layer):
 
 
 class MaxPool2(Layer):
-    """2x2 max pooling with stride 2; input height/width must be even."""
+    """2x2 max pooling with stride 2; input height/width must be even.
+
+    Works on the four stride-2 slices of the input, one per tile position
+    in row-major order.  Training records, per slice, where it holds the
+    tile's first maximum in that order (the element ``argmax`` picks), and
+    ``backward`` routes each output gradient there.
+    """
+
+    _OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self):
         super().__init__()
-        self._argmax = None
+        self._masks = None
         self._shape = None
 
     def forward(self, x, train=False):
-        b, c, h, w = x.shape
-        if h % 2 or w % 2:
+        if x.shape[2] % 2 or x.shape[3] % 2:
             raise DimensionError(f"pooling needs even height/width, got {x.shape}")
-        if not train:
-            # same values as the tile max below, without the tile copy
-            return np.maximum(np.maximum(x[:, :, ::2, ::2], x[:, :, ::2, 1::2]),
-                              np.maximum(x[:, :, 1::2, ::2], x[:, :, 1::2, 1::2]))
-        tiles = x.reshape(b, c, h // 2, 2, w // 2, 2)
-        tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
-        self._argmax = tiles.argmax(axis=-1)
-        self._shape = x.shape
-        return tiles.max(axis=-1)
+        s00, s01, s10, s11 = (x[:, :, i::2, j::2] for i, j in self._OFFSETS)
+        out = np.maximum(np.maximum(s00, s01), np.maximum(s10, s11))
+        if train:
+            taken = np.zeros(out.shape, dtype=bool)
+            self._masks = []
+            for s in (s00, s01, s10, s11):
+                first = (s == out) & ~taken
+                taken |= first
+                self._masks.append(first)
+            self._shape = x.shape
+        return out
 
     def backward(self, grad):
-        b, c, h, w = self._shape
-        out = np.zeros((b, c, h // 2, w // 2, 4))
-        np.put_along_axis(out, self._argmax[..., None], grad[..., None], axis=-1)
-        out = out.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        self._argmax = self._shape = None
-        return out.reshape(b, c, h, w)
+        dx = np.zeros(self._shape)
+        for (i, j), mask in zip(self._OFFSETS, self._masks):
+            np.copyto(dx[:, :, i::2, j::2], grad, where=mask)
+        self._masks = self._shape = None
+        return dx
 
 
 class Flatten(Layer):

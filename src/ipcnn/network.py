@@ -78,8 +78,11 @@ class NetworkModel:
     def loss_and_backward(self, x: np.ndarray, labels: np.ndarray) -> float:
         logits = self.forward(x, train=True)
         loss, grad = cross_entropy_loss(logits, labels)
-        for layer in reversed(self.layers):
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
+        # nothing reads the gradient with respect to the input images
+        first.backward(grad, input_grad=False)
         return loss
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:

@@ -211,6 +211,8 @@ class TestErrorPaths:
         ('{"dataset": {"kind": "synthetic", "synthetic_train": 40, '
          '"synthetic_test": 10}, "network": {"learning_rate": 0.0}}',
          "learning rate", "train"),
+        ('{"equivalence": {"instances": 3, "max_width": 1}}',
+         "equivalence.max_width", "verify-equivalence"),
     ])
     def test_bad_value_exit_two(self, tmp_path, capsys, text, needle,
                                 command):
@@ -220,6 +222,12 @@ class TestErrorPaths:
                      command]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and needle in err
+
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        assert main(["--seed", "-1", "--out-dir", str(tmp_path),
+                     "verify-equivalence"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--seed" in err
 
     def test_unreadable_config_exit_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json"),

@@ -139,6 +139,24 @@ class TestBadNumbers:
             load_config(path)
         assert repr(key) in str(info.value)
 
+    @pytest.mark.parametrize("equivalence", [
+        {"max_width": 1},
+        {"sigmas": [1, 17]},
+        {"sigmas": [2], "max_width": 1},
+    ])
+    def test_max_width_below_largest_sigma(self, tmp_path, equivalence):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"equivalence": equivalence}))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert "'equivalence.max_width'" in str(info.value)
+        assert "'equivalence.sigmas'" in str(info.value)
+
+    def test_max_width_equal_to_largest_sigma(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"equivalence": {"max_width": 5}}))
+        assert load_config(path)["equivalence"]["max_width"] == 5
+
 
 def _numeric_leaves(section, prefix=""):
     """(dotted key, default) of every numeric or numeric-list config value."""

@@ -9,9 +9,38 @@ from ipcnn.layers import (
     MaxPool2,
     ReLU,
     cross_entropy_loss,
+    im2col,
     softmax,
 )
 from ipcnn.network import Hyperparams, NetworkModel, train
+
+
+def reference_pool_forward(x):
+    """Tile route: copy each 2x2 tile into a last axis, take max and argmax."""
+    b, c, h, w = x.shape
+    tiles = x.reshape(b, c, h // 2, 2, w // 2, 2)
+    tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
+    return tiles.max(axis=-1), tiles.argmax(axis=-1)
+
+
+def reference_pool_backward(grad, argmax, shape):
+    """Tile route: put each gradient at its tile's argmax, untranspose."""
+    b, c, h, w = shape
+    out = np.zeros((b, c, h // 2, w // 2, 4))
+    np.put_along_axis(out, argmax[..., None], grad[..., None], axis=-1)
+    out = out.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return out.reshape(b, c, h, w)
+
+
+def reference_conv_dx(layer, grad):
+    """Full correlation of grad padded by k-1, cropped by the layer's pad."""
+    k, p = layer.kernel, layer.pad
+    gp = np.pad(grad, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    gcols, (b, bh, bw) = im2col(gp, k)
+    w_mat = layer.w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(
+        -1, layer.c_in)
+    dxp = (gcols @ w_mat).reshape(b, bh, bw, layer.c_in).transpose(0, 3, 1, 2)
+    return dxp[:, :, p:bh - p, p:bw - p]
 
 
 def finite_difference_check(layer, x, seed=0, eps=1e-6):
@@ -142,7 +171,7 @@ class TestForwardShapes:
             x = np.round(x)
             x[0, 0] = 0.0
         np.testing.assert_array_equal(MaxPool2().forward(x),
-                                      MaxPool2().forward(x, train=True))
+                                      reference_pool_forward(x)[0])
 
     def test_dense_width_checked(self):
         layer = Dense(7, 4, rng=np.random.default_rng(0))
@@ -154,6 +183,61 @@ class TestForwardShapes:
         probs = softmax(rng.standard_normal((6, 10)) * 50)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
         assert np.all(probs >= 0)
+
+
+def tied_pool_input(rng):
+    """Small integers, so most tiles hold several equal maxima; the first
+    image is all zeros and the second has all-zero tiles on every other
+    row of tiles."""
+    x = rng.integers(-1, 2, size=(3, 4, 8, 6)).astype(float)
+    x[0] = 0.0
+    x[1, :, ::4] = x[1, :, 1::4] = 0.0
+    return x
+
+
+class TestExactRoutes:
+    """The training routes give the same bits as the textbook ones."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_pool_train_matches_tile_route(self, ties):
+        rng = np.random.default_rng(12)
+        x = tied_pool_input(rng) if ties else rng.standard_normal((3, 4, 8, 6))
+        grad = rng.standard_normal((3, 4, 4, 3))
+        pool = MaxPool2()
+        out = pool.forward(x, train=True)
+        ref_out, argmax = reference_pool_forward(x)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(
+            pool.backward(grad), reference_pool_backward(grad, argmax, x.shape))
+
+    def test_pool_ties_go_to_first_maximum(self):
+        pool = MaxPool2()
+        pool.forward(np.zeros((1, 1, 2, 2)), train=True)
+        np.testing.assert_array_equal(pool.backward(np.ones((1, 1, 1, 1))),
+                                      [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+    @pytest.mark.parametrize("pad", [0, 1, 2, 3])
+    def test_conv_dx_matches_cropped_full_correlation(self, pad):
+        rng = np.random.default_rng(13 + pad)
+        layer = Conv2D(3, 5, kernel=3, pad=pad, rng=rng)
+        x = rng.standard_normal((4, 3, 9, 7))
+        grad = rng.standard_normal(layer.forward(x, train=True).shape)
+        dx = layer.backward(grad)
+        assert dx.shape == x.shape
+        np.testing.assert_array_equal(dx, reference_conv_dx(layer, grad))
+
+    def test_param_grads_only_call(self):
+        rng = np.random.default_rng(17)
+        layer = Conv2D(1, 4, kernel=3, pad=1, rng=rng)
+        x = rng.standard_normal((5, 1, 8, 8))
+        grad = rng.standard_normal((5, 4, 8, 8))
+        layer.forward(x, train=True)
+        layer.backward(grad)
+        full = [g.copy() for g in layer.grads]
+        layer.forward(x, train=True)
+        assert layer.backward(grad, input_grad=False) is None
+        for g, ref in zip(layer.grads, full, strict=True):
+            np.testing.assert_array_equal(g, ref)
 
 
 class TestTraining:

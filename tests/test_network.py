@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ipcnn.errors import DimensionError
+from ipcnn.layers import cross_entropy_loss
 from ipcnn.network import (
     ARCH_VERSION,
     NetworkModel,
@@ -38,6 +41,42 @@ class TestArchitecture:
             NetworkModel(seed=5).model_hash()
         assert NetworkModel(seed=5).model_hash() != \
             NetworkModel(seed=6).model_hash()
+
+
+class TestTrainingStep:
+    @staticmethod
+    def batch(n=64):
+        rng = np.random.default_rng(21)
+        return rng.random((n, 1, 28, 28)), rng.integers(0, 10, size=n)
+
+    def test_gradients_match_full_backward(self):
+        x, y = self.batch(16)
+        model = NetworkModel(seed=0)
+        loss = model.loss_and_backward(x, y)
+        lean = [g.copy() for g in model.gradients()]
+        # every layer, the first included, computes its input gradient
+        logits = model.forward(x, train=True)
+        full_loss, grad = cross_entropy_loss(logits, y)
+        for layer in reversed(model.layers):
+            grad = layer.backward(grad)
+        assert grad.shape == x.shape
+        assert loss == full_loss
+        for g, ref in zip(lean, model.gradients(), strict=True):
+            np.testing.assert_array_equal(g, ref)
+
+    def test_step_memory_peak(self):
+        # one 64-image step takes about 75 MiB; lowering conv1's unused
+        # input gradient and copying pool tiles takes it past 170 MiB
+        x, y = self.batch()
+        model = NetworkModel(seed=0)
+        model.loss_and_backward(x, y)
+        tracemalloc.start()
+        try:
+            model.loss_and_backward(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestCheckpoint:
