@@ -108,16 +108,17 @@ def _checkpoint_path(config: dict, out_dir: Path) -> Path:
 
 def cmd_verify_equivalence(config, args, out_dir: Path) -> int:
     eq = config["equivalence"]
+    seed = args.seed if args.seed is not None else int(eq["seed"])
     result = run_equivalence_suite(
         instances=int(eq["instances"]),
-        seed=args.seed if args.seed is not None else int(eq["seed"]),
+        seed=seed,
         max_channels=int(eq["max_channels"]),
         sigmas=tuple(eq["sigmas"]),
         max_width=int(eq["max_width"]),
         corrupt_delay_offsets=bool(eq["corrupt_delay_offsets"]),
     )
     write_summary(out_dir / "verify_equivalence.json", "verify-equivalence",
-                  config, int(eq["seed"]), {
+                  config, seed, {
                       "passed": result.passed,
                       "instances": result.instances,
                       "digest": result.digest,
@@ -383,6 +384,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

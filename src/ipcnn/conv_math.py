@@ -7,7 +7,10 @@ copies of the serialized stream.  The valid columns of the delayed matrix
 coincide with the im2col matrix, so a single weight-matrix multiply
 computes the layer either way.  This module holds exact reference
 implementations of both routes so the equivalence can be checked
-mechanically.
+mechanically.  Both are array copies written independently of each
+other: im2col takes one strided slice per kernel offset (i, j), and the
+delayed matrix writes one slice per delay tap carrying every channel at
+once, as one delay line carries every wavelength.
 
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.
@@ -162,24 +165,31 @@ def delay_offsets(sigma: int, image_width: int) -> np.ndarray:
 
 
 def build_delayed_matrix(images, spec: ConvLayerSpec) -> DelayedMatrix:
-    """Assemble X': Q delayed copies of each serialized channel, zero padded."""
+    """Assemble X': Q delayed copies of each serialized channel, zero padded.
+
+    One slice assignment per tap q writes the row-major streams of all
+    channels at once, delayed by D_max - D_q, into a (C_I, Q, width)
+    array: in the accelerator each delay line carries every input channel
+    on its own wavelength.  Rows come out in u*Q + q order.
+    """
     x = _check_image_shape(images, spec)
     n_samples = spec.image_width ** 2
     width = n_samples + spec.d_max
     offsets = delay_offsets(spec.sigma, spec.image_width)
 
-    data = np.zeros((spec.c_in * spec.q, width))
-    for u in range(spec.c_in):
-        stream = serialize(x[u])
-        for q, d_q in enumerate(offsets):
-            d = spec.d_max - d_q
-            data[u * spec.q + q, d:d + n_samples] = stream
+    # row-major serialization of every channel: (C_I, L^2)
+    streams = x.reshape(spec.c_in, n_samples)
+    data = np.zeros((spec.c_in, spec.q, width))
+    for q, d_q in enumerate(offsets):
+        d = spec.d_max - d_q
+        data[:, q, d:d + n_samples] = streams
 
     valid = np.zeros(width, dtype=bool)
     m = np.arange(spec.image_width - spec.sigma + 1)
     cols = (m[:, None] * spec.image_width + m[None, :]).reshape(-1)
     valid[cols + spec.d_max] = True
-    return DelayedMatrix(data=data, valid_mask=valid, spec=spec)
+    return DelayedMatrix(data=data.reshape(spec.c_in * spec.q, width),
+                         valid_mask=valid, spec=spec)
 
 
 def im2col_oracle(images, spec: ConvLayerSpec) -> np.ndarray:
@@ -187,17 +197,16 @@ def im2col_oracle(images, spec: ConvLayerSpec) -> np.ndarray:
 
     Column p is the flattened sigma x sigma patch at output position
     p = m * (L-sigma+1) + n, channel blocks stacked vertically.  Built by
-    explicit patch extraction so it stays independent of the delay route.
+    one strided slice per kernel offset (i, j) - entry (u, i, j, m, n) is
+    x[u, m+i, n+j] - so it stays independent of the delay route.
     """
     x = _check_image_shape(images, spec)
     v_w = spec.valid_width
-    cols = np.zeros((spec.c_in * spec.q, v_w * v_w))
-    for u in range(spec.c_in):
-        for m in range(v_w):
-            for n in range(v_w):
-                patch = x[u, m:m + spec.sigma, n:n + spec.sigma]
-                cols[u * spec.q:(u + 1) * spec.q, m * v_w + n] = patch.reshape(-1)
-    return cols
+    cols = np.empty((spec.c_in, spec.sigma, spec.sigma, v_w, v_w))
+    for i in range(spec.sigma):
+        for j in range(spec.sigma):
+            cols[:, i, j] = x[:, i:i + v_w, j:j + v_w]
+    return cols.reshape(spec.c_in * spec.q, v_w * v_w)
 
 
 def kernels_to_weight_matrix(kernels, spec: ConvLayerSpec) -> np.ndarray:

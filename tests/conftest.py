@@ -3,18 +3,30 @@
 MNIST is used whenever the IDX files are present (directory from
 $IPCNN_DATA_DIR or ./data); otherwise the deterministic synthetic dataset
 stands in and MNIST-only gates are skipped.  The trained model is cached
-on disk keyed by its configuration so repeated test runs do not retrain.
+on disk keyed by a hash of everything that determines it (architecture
+version, hyperparameters, training data), so repeated test runs do not
+retrain and a change to any of those trains afresh.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ipcnn.mnist import find_mnist_dir, load_mnist
-from ipcnn.network import Hyperparams, NetworkModel, load_checkpoint, save_checkpoint, train
+from ipcnn.network import (
+    ARCH_VERSION,
+    Hyperparams,
+    NetworkModel,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 from ipcnn.synth import make_synthetic_dataset
 
 CACHE_DIR = Path(__file__).parent / ".cache"
@@ -52,14 +64,30 @@ def dataset_name(mnist_dataset):
     return "mnist" if mnist_dataset is not None else "synthetic"
 
 
+def model_cache_key(hyper: Hyperparams, images, labels) -> str:
+    """sha256 of the architecture version, hyperparameters and training data.
+
+    ``hyper.seed`` is also the initialization seed (``NetworkModel(seed=)``).
+    """
+    h = hashlib.sha256()
+    h.update(f"arch-v{ARCH_VERSION}".encode())
+    h.update(json.dumps(dataclasses.asdict(hyper), sort_keys=True).encode())
+    for array in (images, labels):
+        h.update(str((array.dtype.str, array.shape)).encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
 def _train_cached(tag: str, dataset, epochs: int) -> NetworkModel:
+    hyper = Hyperparams(epochs=epochs, seed=TRAIN_SEED)
+    images = dataset.train_images[:, None, :, :]
+    key = model_cache_key(hyper, images, dataset.train_labels)
     CACHE_DIR.mkdir(exist_ok=True)
-    ckpt = CACHE_DIR / f"model_{tag}_e{epochs}_s{TRAIN_SEED}.npz"
+    ckpt = CACHE_DIR / f"model_{tag}_{key[:16]}.npz"
     if ckpt.exists():
         return load_checkpoint(ckpt)
-    model = NetworkModel(seed=TRAIN_SEED)
-    train(model, dataset.train_images[:, None, :, :], dataset.train_labels,
-          Hyperparams(epochs=epochs, seed=TRAIN_SEED))
+    model = NetworkModel(seed=hyper.seed)
+    train(model, images, dataset.train_labels, hyper)
     save_checkpoint(model, ckpt)
     return model
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ipcnn.cli import main
+from ipcnn.verify import run_equivalence_suite
 
 SMALL_CONFIG = {
     "dataset": {
@@ -78,6 +79,16 @@ class TestVerifyEquivalence:
         failure = summary["results"]["first_failure"]
         assert failure is not None
         assert {"instance", "row", "column"} <= set(failure)
+
+    def test_seed_flag_recorded(self, tmp_path):
+        config = write_config(tmp_path)
+        assert main(["--config", str(config), "--out-dir", str(tmp_path),
+                     "--seed", "5", "verify-equivalence"]) == 0
+        summary = json.loads(
+            (tmp_path / "verify_equivalence.json").read_text())
+        assert summary["seed"] == 5
+        expected = run_equivalence_suite(instances=20, seed=5)
+        assert summary["results"]["digest"] == expected.digest
 
 
 class TestTrainAndInfer:
@@ -228,6 +239,13 @@ class TestErrorPaths:
                      "verify-equivalence"]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "--seed" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        assert main(["--threads", threads, "--out-dir", str(tmp_path),
+                     "sweep-imbalance"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--threads" in err
 
     def test_unreadable_config_exit_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json"),

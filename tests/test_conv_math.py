@@ -17,6 +17,7 @@ from ipcnn.conv_math import (
     valid_output,
 )
 from ipcnn.errors import DimensionError, InvalidSpecError
+from ipcnn.verify import run_equivalence_suite
 
 
 def loop_conv_oracle(x, w, c_in, c_out, sigma, width):
@@ -33,6 +34,35 @@ def loop_conv_oracle(x, w, c_in, c_out, sigma, width):
                             acc += w[u][v][i][j] * x[u][m + i][n + j]
                 y[v, m, n] = acc
     return y
+
+
+def loop_delayed_matrix(x, spec):
+    """One row per (channel, tap): the per-pair loop the oracle replaced."""
+    n_samples = spec.image_width ** 2
+    width = n_samples + spec.d_max
+    data = np.zeros((spec.c_in * spec.q, width))
+    for u in range(spec.c_in):
+        stream = serialize(x[u])
+        for q, d_q in enumerate(delay_offsets(spec.sigma, spec.image_width)):
+            d = spec.d_max - d_q
+            data[u * spec.q + q, d:d + n_samples] = stream
+    valid = np.zeros(width, dtype=bool)
+    m = np.arange(spec.image_width - spec.sigma + 1)
+    cols = (m[:, None] * spec.image_width + m[None, :]).reshape(-1)
+    valid[cols + spec.d_max] = True
+    return data, valid
+
+
+def loop_im2col(x, spec):
+    """One patch copy per (channel, output position)."""
+    v_w = spec.valid_width
+    cols = np.zeros((spec.c_in * spec.q, v_w * v_w))
+    for u in range(spec.c_in):
+        for m in range(v_w):
+            for n in range(v_w):
+                patch = x[u, m:m + spec.sigma, n:n + spec.sigma]
+                cols[u * spec.q:(u + 1) * spec.q, m * v_w + n] = patch.reshape(-1)
+    return cols
 
 
 class TestConv2dReference:
@@ -243,3 +273,39 @@ def test_equivalence_theorem(c_in, c_out, sigma, extra, data_seed):
                      delayed)
     ref = conv2d_reference(x, w, spec)
     np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
+
+
+sigma_and_width = st.sampled_from([1, 2, 3, 5]).flatmap(
+    lambda sigma: st.tuples(st.just(sigma), st.integers(sigma, 16)))
+
+
+class TestExactRoutes:
+    """The sliced oracle routes equal the loop references bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(c_in=st.integers(1, 8), sigma_width=sigma_and_width,
+           data_seed=st.integers(0, 2**32 - 1))
+    def test_slices_equal_loops(self, c_in, sigma_width, data_seed):
+        sigma, width = sigma_width
+        spec = ConvLayerSpec(c_in, 1, sigma, width)
+        x = np.random.default_rng(data_seed).standard_normal(
+            (c_in, width, width))
+        delayed = build_delayed_matrix(x, spec)
+        data, valid = loop_delayed_matrix(x, spec)
+        assert np.array_equal(delayed.data, data)
+        assert np.array_equal(delayed.valid_mask, valid)
+        assert np.array_equal(im2col_oracle(x, spec), loop_im2col(x, spec))
+
+    def test_suite_digest_pinned(self):
+        result = run_equivalence_suite(instances=200, seed=0)
+        assert result.passed
+        assert result.digest == ("96ad09dd2968521a06cccb53475a1b2d"
+                                 "aa419548d1833d8812a3cbb8853bd505")
+
+    def test_corruption_first_failure(self):
+        result = run_equivalence_suite(instances=200, seed=0,
+                                       corrupt_delay_offsets=True)
+        assert not result.passed
+        failure = result.first_failure
+        assert (failure["instance"], failure["row"], failure["column"]) == (
+            0, 24, 0)
