@@ -11,6 +11,11 @@ output is simulated directly as one GEMM of the im2col matrix against the
 effective weights ``rescale * gains * settings``.  The delayed tensor
 itself exists only in ``conv_math`` and ``verify``, as the oracle.
 
+Activations are channel-major, as in ``layers``: the GEMM multiplies the
+(C_O, C_I*Q) weights into the contiguous (C_I*Q, B*V*V) rows of the
+lowering, one row per (channel, tap), and its (C_O, B*V*V) product is
+returned as a (B, C_O, V, V) view with no transpose copy.
+
 Two fault mechanisms are injectable: additive Gaussian detection noise
 (a single lumped NEOP level in dBc relative to the all-ones full-scale
 branch value) and one multiplicative gain per (u, q, v) signal path.  The
@@ -37,7 +42,7 @@ from .errors import (
     InfeasibleDesignError,
     InvalidSpecError,
 )
-from .layers import im2col
+from .layers import im2col, rows_to_batch
 
 # Guards division by zero for the all-zero kernel tensor; far below any
 # representable real kernel magnitude.
@@ -144,17 +149,20 @@ def forward_batch(
             "negative image values cannot be intensity-encoded"
         )
 
-    cols, (b, v_h, v_w) = im2col(images, spec.sigma)    # (B*V*V, C_I*Q)
+    cols, dims = im2col(images, spec.sigma)             # (B*V*V, C_I*Q)
     eff = faults.gains(spec) * programming.settings     # (C_I, Q, C_O)
     rescale = programming.rescale
-    out = cols @ (rescale * eff.reshape(spec.c_in * spec.q, spec.c_out))
+    w_eff = rescale * eff.reshape(spec.c_in * spec.q, spec.c_out)
+    out = w_eff.T @ cols.T                              # (C_O, B*V*V)
     sigma_n = faults.noise_sigma(spec)
     if sigma_n > 0:
         if rng is None:
             rng = np.random.default_rng(faults.seed)
+        # drawn as (B*V*V, C_O), the order a seed has always mapped to
+        # output elements, and added transposed
         out += rng.normal(0.0, rescale * sigma_n * np.sqrt(spec.q),
-                          size=out.shape)
-    return out.reshape(b, v_h, v_w, spec.c_out).transpose(0, 3, 1, 2)
+                          size=out.shape[::-1]).T
+    return rows_to_batch(out, dims)
 
 
 def sample_imbalance(

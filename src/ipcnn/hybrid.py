@@ -25,7 +25,7 @@ from .analog import (
     sample_imbalance,
 )
 from .conv_math import ConvLayerSpec
-from .layers import Conv2D
+from .layers import Conv2D, MaxPool2, pad_hw
 from .network import NetworkModel
 
 
@@ -62,7 +62,7 @@ def _conv_input_widths(model: NetworkModel, image_width: int = 28) -> list[int]:
     for layer in model.layers:
         if isinstance(layer, Conv2D):
             widths.append(w)
-        elif type(layer).__name__ == "MaxPool2":
+        elif isinstance(layer, MaxPool2):
             w //= 2
     return widths
 
@@ -111,7 +111,10 @@ def hybrid_forward(
     noise_rng: np.random.Generator,
     batch_size: int = 128,
 ) -> np.ndarray:
-    """Logits of the hybrid network over a batch of (N, 28, 28) images."""
+    """Logits of the hybrid network over a batch of (N, 28, 28) images.
+
+    An empty batch gives an empty (0, n_classes) array.
+    """
     logits = []
     for start in range(0, len(images), batch_size):
         x = images[start:start + batch_size][:, None, :, :]
@@ -119,17 +122,17 @@ def hybrid_forward(
         for layer in model.layers:
             if isinstance(layer, Conv2D):
                 setup = setups[conv_idx]
-                p = setup.pad
-                xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
                 x = forward_batch(
-                    xp, setup.programming, setup.spec, setup.faults,
-                    rng=noise_rng,
+                    pad_hw(x, setup.pad), setup.programming, setup.spec,
+                    setup.faults, rng=noise_rng,
                 )
-                x = x + setup.bias[None, :, None, None]
+                x += setup.bias[None, :, None, None]
                 conv_idx += 1
             else:
                 x = layer.forward(x)
         logits.append(x)
+    if not logits:
+        return np.zeros((0, model.layers[-1].w.shape[1]))
     return np.concatenate(logits)
 
 

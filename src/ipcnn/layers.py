@@ -5,6 +5,19 @@ zero padding, ReLU, 2x2 max pooling, flatten, dense, and softmax
 cross-entropy.  Every backward pass is validated against central finite
 differences in the test suite.
 
+Conv activations are channel-major: a conv layer returns its (B, C_O, H, W)
+output as a view of (C_O, B, H, W) memory.  ``im2col`` then copies one
+contiguous row per (channel, tap) instead of transposing channels into the
+innermost axis, and the (C_O, B*H*W) product ``weights @ rows`` is already
+in that layout, with no transpose copy.  ReLU and pooling keep the memory
+order they are given, so the layout carries through to ``Flatten``, which
+copies it into C order for the dense layers.  The conv input gradient keeps
+the ``gcols @ w_mat`` orientation, channels last in memory: the flipped
+product rounds differently for few input channels.  Memory order never
+changes a value.  The tests hold every route to the NCHW one: bit for bit
+at the network's shapes and even batch sizes, and within rounding
+elsewhere, because a BLAS may round by operand layout.
+
 Conv forward and backward are GEMMs over ``im2col``; the input gradient
 lowers only the patches that land on the unpadded input, and the first
 layer skips it (``input_grad=False``).  Max pooling works on four stride-2
@@ -37,6 +50,20 @@ class Layer:
         raise NotImplementedError
 
 
+def pad_hw(x: np.ndarray, p: int) -> np.ndarray:
+    """Zero-pad the H and W axes of a (B, C, H, W) batch by ``p`` each side.
+
+    The padded batch is channel-major, (C, B, H+2p, W+2p) in memory; with
+    ``p == 0`` the batch is returned as it is.
+    """
+    if not p:
+        return x
+    b, c, h, w = x.shape
+    out = np.zeros((c, b, h + 2 * p, w + 2 * p))
+    out[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
+    return out.transpose(1, 0, 2, 3)
+
+
 def im2col(x: np.ndarray, kernel: int):
     """Stride-1, pad-free patch matrix of a (B, C, H, W) batch.
 
@@ -46,12 +73,26 @@ def im2col(x: np.ndarray, kernel: int):
     x[b, u, m+i, n+j], the u*Q + q order of
     ``conv_math.kernels_to_weight_matrix``.  One GEMM against the flattened
     kernels then evaluates the convolution (Chellapilla et al. 2006).
+
+    ``cols`` is the transposed view of a contiguous (C*k*k, B*H'*W') array
+    that holds one row per (channel, tap): each row is one shifted window
+    of one channel, copied in runs of W' elements, fastest from a
+    channel-major batch.  ``cols.T`` is therefore C-contiguous, and
+    ``weights @ cols.T`` is a (C_O, B*H'*W') result already channel-major;
+    ``rows_to_batch`` views it as (B, C_O, H', W').
     """
-    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    b, c, h, w, _, _ = windows.shape
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w,
-                                                       c * kernel * kernel)
-    return cols, (b, h, w)
+    windows = sliding_window_view(x.transpose(1, 0, 2, 3), (kernel, kernel),
+                                  axis=(2, 3))
+    c, b, h, w, _, _ = windows.shape
+    rows = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * kernel * kernel,
+                                                       b * h * w)
+    # a reshape that needs no copy (a 1x1 kernel, say) leaves a strided view
+    return np.ascontiguousarray(rows).T, (b, h, w)
+
+
+def rows_to_batch(rows: np.ndarray, dims) -> np.ndarray:
+    """(B, C, H, W) view of a (C, B*H*W) product, ``dims`` = (B, H, W)."""
+    return rows.reshape(rows.shape[0], *dims).transpose(1, 0, 2, 3)
 
 
 class Conv2D(Layer):
@@ -75,23 +116,21 @@ class Conv2D(Layer):
             raise DimensionError(
                 f"conv input shape {x.shape} incompatible with c_in={self.c_in}"
             )
-        p = self.pad
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols, (b, h, w) = im2col(xp, self.kernel)
+        cols, (b, h, w) = im2col(pad_hw(x, self.pad), self.kernel)
         if train:
             self._windows = cols, (b, h, w)
-        out = cols @ self.w.reshape(self.c_out, -1).T
-        return out.reshape(b, h, w, self.c_out).transpose(0, 3, 1, 2) \
-            + self.b[None, :, None, None]
+        out = self.w.reshape(self.c_out, -1) @ cols.T
+        out += self.b[:, None]
+        return rows_to_batch(out, (b, h, w))
 
     def backward(self, grad, input_grad=True):
         """Fill ``grads``; return dL/dx, or None if ``input_grad`` is False."""
         k, p = self.kernel, self.pad
         cols, (b, h, w) = self._windows
         self._windows = None
-        grad_cols = grad.transpose(0, 2, 3, 1).reshape(b * h * w, self.c_out)
-        self.grads[0][...] = (grad_cols.T @ cols).reshape(self.w.shape)
-        self.grads[1][...] = grad.sum(axis=(0, 2, 3))
+        grad_rows = grad.transpose(1, 0, 2, 3).reshape(self.c_out, b * h * w)
+        self.grads[0][...] = (grad_rows @ cols).reshape(self.w.shape)
+        self.grads[1][...] = _bias_grad(grad, grad_rows, b)
         if not input_grad:
             return None
         # dx is the full correlation of grad with the flipped kernel, cropped
@@ -99,7 +138,7 @@ class Conv2D(Layer):
         # patches of that interior; for p > k-1 grad is cropped by -e.
         e = k - 1 - p
         if e > 0:
-            grad = np.pad(grad, ((0, 0), (0, 0), (e, e), (e, e)))
+            grad = pad_hw(grad, e)
         elif e < 0:
             grad = grad[:, :, -e:e, -e:e]
         gcols, (_, bh, bw) = im2col(grad, k)
@@ -107,6 +146,21 @@ class Conv2D(Layer):
         # matrix with rows indexed (o, i, j) to match gcols' column order
         w_mat = w_flip.transpose(0, 2, 3, 1).reshape(-1, self.c_in)
         return (gcols @ w_mat).reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
+
+
+def _bias_grad(grad, grad_rows, b):
+    """``grad.sum(axis=(0, 2, 3))``, added in the order of C-order memory.
+
+    Over C-order memory numpy sums each image's H*W pairwise, then adds the
+    images in turn.  Over channel-major memory it would sum all B*H*W
+    values of a channel pairwise, which rounds differently; so those rows
+    are summed per image first, then image by image.
+    """
+    if grad.flags.c_contiguous:
+        return grad.sum(axis=(0, 2, 3))
+    per_image = grad_rows.reshape(grad_rows.shape[0], b, -1).sum(axis=2)
+    # the (B, C) copy makes axis 0 an outer loop: one image after another
+    return per_image.T.copy().sum(axis=0)
 
 
 class ReLU(Layer):
@@ -131,7 +185,8 @@ class MaxPool2(Layer):
     Works on the four stride-2 slices of the input, one per tile position
     in row-major order.  Training records, per slice, where it holds the
     tile's first maximum in that order (the element ``argmax`` picks), and
-    ``backward`` routes each output gradient there.
+    ``backward`` routes each output gradient there, into an input gradient
+    laid out in memory like the input.
     """
 
     _OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -139,7 +194,7 @@ class MaxPool2(Layer):
     def __init__(self):
         super().__init__()
         self._masks = None
-        self._shape = None
+        self._layout = None
 
     def forward(self, x, train=False):
         if x.shape[2] % 2 or x.shape[3] % 2:
@@ -147,21 +202,28 @@ class MaxPool2(Layer):
         s00, s01, s10, s11 = (x[:, :, i::2, j::2] for i, j in self._OFFSETS)
         out = np.maximum(np.maximum(s00, s01), np.maximum(s10, s11))
         if train:
-            taken = np.zeros(out.shape, dtype=bool)
+            taken = np.zeros_like(out, dtype=bool)
             self._masks = []
             for s in (s00, s01, s10, s11):
                 first = (s == out) & ~taken
                 taken |= first
                 self._masks.append(first)
-            self._shape = x.shape
+            self._layout = x.shape, x.strides
         return out
 
     def backward(self, grad):
-        dx = np.zeros(self._shape)
+        dx = _zeros_in_layout(*self._layout)
         for (i, j), mask in zip(self._OFFSETS, self._masks):
             np.copyto(dx[:, :, i::2, j::2], grad, where=mask)
-        self._masks = self._shape = None
+        self._masks = self._layout = None
         return dx
+
+
+def _zeros_in_layout(shape, strides) -> np.ndarray:
+    """Zeros of ``shape``, laid out in memory like an array with ``strides``."""
+    outer_first = np.argsort(-np.asarray(strides), kind="stable")
+    return np.zeros(np.take(shape, outer_first)).transpose(
+        np.argsort(outer_first))
 
 
 class Flatten(Layer):

@@ -100,6 +100,8 @@ def load_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
             f"count mismatch: {images.shape[0]} images vs "
             f"{labels.shape[0]} labels"
         )
+    if images.shape[0] == 0:
+        raise IdxParseError(f"{images_path}: holds no images")
     return images.astype(float) / 255.0, labels.astype(np.int64)
 
 

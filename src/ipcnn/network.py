@@ -86,14 +86,16 @@ class NetworkModel:
         return loss
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        preds = []
-        for i in range(0, len(x), batch_size):
-            logits = self.forward(x[i:i + batch_size])
-            preds.append(logits.argmax(axis=1))
-        return np.concatenate(preds)
+        """Predicted class per image; an empty batch gives an empty array."""
+        preds = [self.forward(x[i:i + batch_size]).argmax(axis=1)
+                 for i in range(0, len(x), batch_size)]
+        return np.concatenate(preds) if preds else np.zeros(0, dtype=np.intp)
 
     def accuracy(self, x: np.ndarray, labels: np.ndarray,
                  batch_size: int = 256) -> float:
+        """Fraction of correct predictions; NaN for an empty batch."""
+        if len(x) == 0:
+            return float("nan")
         return float(np.mean(self.predict(x, batch_size) == labels))
 
     def model_hash(self) -> str:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ipcnn.cli import main
+from ipcnn.mnist import write_idx
+from ipcnn.network import NetworkModel, save_checkpoint
 from ipcnn.verify import run_equivalence_suite
 
 SMALL_CONFIG = {
@@ -125,6 +127,26 @@ class TestTrainAndInfer:
         config = write_config(tmp_path, {"dataset": {"kind": "mnist"}})
         assert main(["--config", str(config), "--out-dir", str(tmp_path),
                      "train"]) == 3
+
+    @pytest.mark.parametrize("command", ["infer", "sweep-noise"])
+    def test_empty_test_split_exit_three(self, tmp_path, capsys, command):
+        # valid IDX files whose t10k split holds no images
+        images = np.random.default_rng(0).integers(
+            0, 256, size=(2, 28, 28), dtype=np.uint8)
+        write_idx(tmp_path / "train-images-idx3-ubyte", images)
+        write_idx(tmp_path / "train-labels-idx1-ubyte",
+                  np.array([1, 2], dtype=np.uint8))
+        write_idx(tmp_path / "t10k-images-idx3-ubyte",
+                  np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx(tmp_path / "t10k-labels-idx1-ubyte",
+                  np.zeros(0, dtype=np.uint8))
+        save_checkpoint(NetworkModel(seed=0), tmp_path / "model.npz")
+        config = write_config(tmp_path, {"dataset": {
+            "kind": "mnist", "directory": str(tmp_path)}})
+        assert main(["--config", str(config), "--out-dir", str(tmp_path),
+                     command]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "t10k-images-idx3-ubyte" in err[0]
 
 
 class TestSweeps:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ class TestDeterminism:
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
+    def test_noisy_logits_bytes_pinned(self):
+        # recorded from the NCHW-layout code: both the noise order and the
+        # GEMM sums are in these bytes (OpenBLAS 0.3.31, AVX-512 x86-64)
+        model = NetworkModel(seed=4)
+        images = np.random.default_rng(5).random((16, 28, 28))
+        setups = build_photonic_setups(model, neop_dbc=-10.0, seed=6)
+        logits = hybrid_forward(model, images, setups,
+                                np.random.default_rng(7))
+        assert logits.dtype == np.float64 and logits.shape == (16, 10)
+        assert hashlib.sha256(logits.tobytes()).hexdigest() == (
+            "233886428527f2a4521f6ec989a0644ff92eeabc87ac6de01f05f2a8014e3789")
+
     def test_fault_config_recorded(self, model, samples):
         images, labels = samples
         report = infer_hybrid(model, images, labels, neop_dbc=-12.0,
@@ -89,6 +103,20 @@ class TestDeterminism:
             "neop_dbc": -12.0, "imbalance_db": 4.0,
             "calibration": True, "probe_repeats": 2,
         }
+
+
+class TestEmptyBatch:
+    def test_hybrid_forward_returns_no_logits(self, model):
+        setups = build_photonic_setups(model, neop_dbc=-10.0)
+        logits = hybrid_forward(model, np.zeros((0, 28, 28)), setups,
+                                np.random.default_rng(0))
+        assert logits.shape == (0, 10)
+
+    def test_predict_and_accuracy(self, model):
+        empty = np.zeros((0, 1, 28, 28))
+        preds = model.predict(empty)
+        assert preds.shape == (0,) and preds.dtype.kind == "i"
+        assert np.isnan(model.accuracy(empty, np.zeros(0, dtype=np.int64)))
 
 
 class TestCalibrationRecovery:

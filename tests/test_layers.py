@@ -280,3 +280,16 @@ class TestTraining:
             train(model, x, y, Hyperparams(epochs=2, batch_size=16, seed=3))
             hashes.append(model.model_hash())
         assert hashes[0] == hashes[1]
+
+    def test_training_bytes_pinned(self):
+        # recorded from the NCHW-layout code; a change in the order of any
+        # reduction moves it, though both runs above would still agree.
+        # Summation order is the BLAS library's: recorded with OpenBLAS
+        # 0.3.31 on an AVX-512 x86-64 CPU.
+        rng = np.random.default_rng(11)
+        x = rng.random((40, 1, 28, 28))
+        y = rng.integers(0, 10, size=40)
+        model = NetworkModel(seed=3)
+        train(model, x, y, Hyperparams(epochs=2, batch_size=16, seed=3))
+        assert model.model_hash() == (
+            "e1d99b4346dce11bb630747cb671f57e64ffe59078ad952650ac5a4e56de59ff")

@@ -106,6 +106,13 @@ class TestLoadPair:
         with pytest.raises(IdxParseError, match="count mismatch"):
             load_pair(ip, lp)
 
+    def test_empty_split_rejected(self, tmp_path):
+        ip, lp = tmp_path / "i", tmp_path / "l"
+        write_idx(ip, np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx(lp, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(IdxParseError, match="holds no images"):
+            load_pair(ip, lp)
+
     def test_wrong_rank_for_images(self, tmp_path, two_labels):
         ip, lp = tmp_path / "i", tmp_path / "l"
         write_idx(ip, two_labels)  # 1-D where 3-D is expected
