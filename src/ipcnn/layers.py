@@ -130,7 +130,9 @@ class Conv2D(Layer):
         self._windows = None
         grad_rows = grad.transpose(1, 0, 2, 3).reshape(self.c_out, b * h * w)
         self.grads[0][...] = (grad_rows @ cols).reshape(self.w.shape)
-        self.grads[1][...] = _bias_grad(grad, grad_rows, b)
+        # numpy's sum follows memory order, so a channel-major grad would be
+        # added in another order than a C-order one and round differently
+        self.grads[1][...] = np.ascontiguousarray(grad).sum(axis=(0, 2, 3))
         if not input_grad:
             return None
         # dx is the full correlation of grad with the flipped kernel, cropped
@@ -146,21 +148,6 @@ class Conv2D(Layer):
         # matrix with rows indexed (o, i, j) to match gcols' column order
         w_mat = w_flip.transpose(0, 2, 3, 1).reshape(-1, self.c_in)
         return (gcols @ w_mat).reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
-
-
-def _bias_grad(grad, grad_rows, b):
-    """``grad.sum(axis=(0, 2, 3))``, added in the order of C-order memory.
-
-    Over C-order memory numpy sums each image's H*W pairwise, then adds the
-    images in turn.  Over channel-major memory it would sum all B*H*W
-    values of a channel pairwise, which rounds differently; so those rows
-    are summed per image first, then image by image.
-    """
-    if grad.flags.c_contiguous:
-        return grad.sum(axis=(0, 2, 3))
-    per_image = grad_rows.reshape(grad_rows.shape[0], b, -1).sum(axis=2)
-    # the (B, C) copy makes axis 0 an outer loop: one image after another
-    return per_image.T.copy().sum(axis=0)
 
 
 class ReLU(Layer):
@@ -220,7 +207,11 @@ class MaxPool2(Layer):
 
 
 def _zeros_in_layout(shape, strides) -> np.ndarray:
-    """Zeros of ``shape``, laid out in memory like an array with ``strides``."""
+    """Zeros of ``shape``, laid out in memory like an array with ``strides``.
+
+    Not ``np.zeros_like(mask, shape=shape)``: a 1x1 pooled output has size-1
+    axes whose strides leave numpy's K order ambiguous.
+    """
     outer_first = np.argsort(-np.asarray(strides), kind="stable")
     return np.zeros(np.take(shape, outer_first)).transpose(
         np.argsort(outer_first))

@@ -25,6 +25,7 @@ Three things hold:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
@@ -229,6 +230,35 @@ class TestConv:
             layer.forward(channel_major(x)),
             nchw_conv_forward(layer.w, layer.b, 1, x),
             nchw_conv_forward(np.abs(layer.w), layer.b, 1, x), 32 * 9)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2, 3])
+    def test_small_dx_within_rounding(self, pad):
+        # the shapes of test_layers.py::TestExactRoutes, whose reference
+        # lowers through the channel-major im2col.  gcols is now a
+        # transposed view, and OpenBLAS 0.3.31 (AVX-512) rounds its dx GEMM
+        # differently from the C-order gcols of the NCHW route: these dx
+        # differ from it in the last bits.  Only the conv2 dx of a training
+        # step (test_network_shapes_match_nchw_route_exactly) is bit-equal.
+        rng = np.random.default_rng(13 + pad)
+        layer = Conv2D(3, 5, kernel=3, pad=pad, rng=rng)
+        x = rng.standard_normal((4, 3, 9, 7))
+        grad = rng.standard_normal(layer.forward(x, train=True).shape)
+        dx = layer.backward(grad)
+        assert_within_rounding(dx, nchw_conv_dx(layer.w, pad, grad),
+                               nchw_conv_dx(np.abs(layer.w), pad,
+                                            np.abs(grad)), 5 * 9)
+
+    def test_one_output_channel_bias_grad_exact(self):
+        # with one channel a C-order grad is one run of B*H*W values, which
+        # numpy sums pairwise as a whole, not image by image
+        rng = np.random.default_rng(37)
+        layer = Conv2D(2, 1, rng=rng)
+        x = rng.standard_normal((30, 2, 23, 17))
+        grad = rng.standard_normal((30, 1, 23, 17))
+        for grad_in in (grad, channel_major(grad)):
+            layer.forward(x, train=True)
+            layer.backward(grad_in, input_grad=False)
+            assert_same(layer.grads[1], grad.sum(axis=(0, 2, 3)))
 
     def test_forward_output_is_channel_major(self):
         layer = Conv2D(2, 3, rng=np.random.default_rng(0))
