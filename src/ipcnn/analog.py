@@ -56,13 +56,6 @@ class WeightProgramming:
     settings: np.ndarray  # shape (C_I, Q, C_O)
     rescale: float
 
-    def as_kernels(self, spec: ConvLayerSpec) -> np.ndarray:
-        """De-program back to a kernel tensor [u][v][i][j]."""
-        w_bar = self.settings * self.rescale  # (C_I, Q, C_O)
-        return w_bar.transpose(0, 2, 1).reshape(
-            spec.c_in, spec.c_out, spec.sigma, spec.sigma
-        )
-
 
 @dataclass(frozen=True)
 class AnalogFaultModel:

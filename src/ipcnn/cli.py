@@ -55,12 +55,14 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, records: list[dict], columns=None) -> None:
+    """One row per record; the columns default to the first record's keys."""
+    columns = list(records[0]) if columns is None else columns
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow([_cell(record[c]) for c in columns])
 
 
 def write_summary(path: Path, command: str, config: dict, seed: int,
@@ -79,11 +81,9 @@ def write_summary(path: Path, command: str, config: dict, seed: int,
 def _load_dataset(config: dict):
     ds = config["dataset"]
     if ds["kind"] == "synthetic":
-        return make_synthetic_dataset(
-            n_train=int(ds["synthetic_train"]),
-            n_test=int(ds["synthetic_test"]),
-            seed=int(ds["synthetic_seed"]),
-        )
+        return make_synthetic_dataset(n_train=ds["synthetic_train"],
+                                      n_test=ds["synthetic_test"],
+                                      seed=ds["synthetic_seed"])
     if ds["kind"] != "mnist":
         raise ConfigError(f"dataset.kind must be 'mnist' or 'synthetic', "
                           f"got {ds['kind']!r}")
@@ -96,27 +96,17 @@ def _load_dataset(config: dict):
     return load_mnist(directory)
 
 
-def _subset(dataset, config: dict):
-    n = int(config["dataset"]["subset"])
-    return dataset.test_images[:n], dataset.test_labels[:n]
-
-
 def _checkpoint_path(config: dict, out_dir: Path) -> Path:
     raw = Path(config["paths"]["checkpoint"])
     return raw if raw.is_absolute() else out_dir / raw
 
 
 def cmd_verify_equivalence(config, args, out_dir: Path) -> int:
-    eq = config["equivalence"]
-    seed = args.seed if args.seed is not None else int(eq["seed"])
-    result = run_equivalence_suite(
-        instances=int(eq["instances"]),
-        seed=seed,
-        max_channels=int(eq["max_channels"]),
-        sigmas=tuple(eq["sigmas"]),
-        max_width=int(eq["max_width"]),
-        corrupt_delay_offsets=bool(eq["corrupt_delay_offsets"]),
-    )
+    eq = dict(config["equivalence"])
+    if args.seed is not None:
+        eq["seed"] = args.seed
+    seed = eq["seed"]
+    result = run_equivalence_suite(**eq)
     write_summary(out_dir / "verify_equivalence.json", "verify-equivalence",
                   config, seed, {
                       "passed": result.passed,
@@ -137,16 +127,11 @@ def cmd_verify_equivalence(config, args, out_dir: Path) -> int:
 
 def cmd_train(config, args, out_dir: Path) -> int:
     dataset = _load_dataset(config)
-    net = config["network"]
-    seed = args.seed if args.seed is not None else int(net["seed"])
+    hyper = Hyperparams(**config["network"])
+    if args.seed is not None:
+        hyper.seed = args.seed
+    seed = hyper.seed
     model = NetworkModel(seed=seed)
-    hyper = Hyperparams(
-        epochs=int(net["epochs"]),
-        learning_rate=float(net["learning_rate"]),
-        momentum=float(net["momentum"]),
-        batch_size=int(net["batch_size"]),
-        seed=seed,
-    )
     train(model, dataset.train_images[:, None, :, :], dataset.train_labels,
           hyper, log=print)
     accuracy = model.accuracy(dataset.test_images[:, None, :, :],
@@ -160,38 +145,33 @@ def cmd_train(config, args, out_dir: Path) -> int:
         # configured name, not the resolved path: summaries must not vary
         # with the output directory
         "checkpoint": config["paths"]["checkpoint"],
-        "n_train": int(len(dataset.train_labels)),
-        "n_test": int(len(dataset.test_labels)),
+        "n_train": len(dataset.train_labels),
+        "n_test": len(dataset.test_labels),
     })
     print(f"test accuracy: {accuracy:.4f}")
     return 0
 
 
-def _load_model(config, out_dir: Path) -> NetworkModel:
+def _model_and_test_subset(config, out_dir: Path):
+    """The checkpointed model and the first ``dataset.subset`` test samples."""
     ckpt = _checkpoint_path(config, out_dir)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    return load_checkpoint(ckpt)
+    model = load_checkpoint(ckpt)
+    dataset = _load_dataset(config)
+    n = config["dataset"]["subset"]
+    return model, dataset.test_images[:n], dataset.test_labels[:n]
 
 
 def cmd_infer(config, args, out_dir: Path) -> int:
-    model = _load_model(config, out_dir)
-    dataset = _load_dataset(config)
-    images, labels = _subset(dataset, config)
-    faults = config["faults"]
+    model, images, labels = _model_and_test_subset(config, out_dir)
     seed = args.seed if args.seed is not None else 0
     digital_accuracy = model.accuracy(images[:, None, :, :], labels)
-    report = infer_hybrid(
-        model, images, labels,
-        neop_dbc=fault_neop_dbc(config),
-        imbalance_db=float(faults["imbalance_db"]),
-        calibration=bool(faults["calibration"]),
-        seed=seed,
-        probe_repeats=int(faults["probe_repeats"]),
-    )
-    write_csv(out_dir / "infer_confusion.csv",
-              ["true_class"] + [f"pred_{c}" for c in range(10)],
-              [[t] + report.confusion[t].tolist() for t in range(10)])
+    report = infer_hybrid(model, images, labels, seed=seed, **dict(
+        config["faults"], neop_dbc=fault_neop_dbc(config)))
+    write_csv(out_dir / "infer_confusion.csv", [
+        {"true_class": t, **{f"pred_{c}": n for c, n in enumerate(row)}}
+        for t, row in enumerate(report.confusion.tolist())])
     write_summary(out_dir / "infer.json", "infer", config, seed, {
         "digital_accuracy": digital_accuracy,
         "hybrid_accuracy": report.accuracy,
@@ -205,19 +185,14 @@ def cmd_infer(config, args, out_dir: Path) -> int:
 
 
 def cmd_sweep_noise(config, args, out_dir: Path) -> int:
-    model = _load_model(config, out_dir)
-    dataset = _load_dataset(config)
-    images, labels = _subset(dataset, config)
-    sweep = config["sweep"]
-    levels = [float(v) for v in sweep["noise_levels_dbc"]]
-    seeds = [int(s) for s in sweep["noise_seeds"]]
+    model, images, labels = _model_and_test_subset(config, out_dir)
+    levels = config["sweep"]["noise_levels_dbc"]
+    seeds = config["sweep"]["noise_seeds"]
     if args.seed is not None:
         seeds = [args.seed + s for s in range(len(seeds))]
     records = sweep_noise(model, images, labels, levels, seeds,
                           threads=args.threads)
-    write_csv(out_dir / "sweep_noise.csv",
-              ["neop_dbc", "seed", "accuracy"],
-              [[r["neop_dbc"], r["seed"], r["accuracy"]] for r in records])
+    write_csv(out_dir / "sweep_noise.csv", records)
     per_level = {}
     for level in levels:
         acc = [r["accuracy"] for r in records if r["neop_dbc"] == level]
@@ -232,26 +207,23 @@ def cmd_sweep_noise(config, args, out_dir: Path) -> int:
 
 
 def cmd_sweep_imbalance(config, args, out_dir: Path) -> int:
-    model = _load_model(config, out_dir)
-    dataset = _load_dataset(config)
-    images, labels = _subset(dataset, config)
+    model, images, labels = _model_and_test_subset(config, out_dir)
     sweep = config["sweep"]
     faults = config["faults"]
     base_seed = args.seed if args.seed is not None else 0
     stats = sweep_imbalance(
         model, images, labels,
-        levels_db=[float(v) for v in sweep["imbalance_levels_db"]],
-        trials=int(sweep["trials"]),
-        calibration=bool(faults["calibration"]),
+        levels_db=sweep["imbalance_levels_db"],
+        trials=sweep["trials"],
+        calibration=faults["calibration"],
         neop_dbc=fault_neop_dbc(config),
         base_seed=base_seed,
-        probe_repeats=int(faults["probe_repeats"]),
+        probe_repeats=faults["probe_repeats"],
         threads=args.threads,
     )
-    write_csv(out_dir / "sweep_imbalance.csv",
-              ["imbalance_db", "trials", "min", "q1", "median", "q3", "max"],
-              [[s["imbalance_db"], s["trials"], s["min"], s["q1"],
-                s["median"], s["q3"], s["max"]] for s in stats])
+    # the per-trial accuracies stay in the JSON summary
+    write_csv(out_dir / "sweep_imbalance.csv", stats,
+              ["imbalance_db", "trials", "min", "q1", "median", "q3", "max"])
     write_summary(out_dir / "sweep_imbalance.json", "sweep-imbalance",
                   config, base_seed, {
                       "levels": stats,
@@ -260,66 +232,51 @@ def cmd_sweep_imbalance(config, args, out_dir: Path) -> int:
     return 0
 
 
-def _budget_rows(config) -> tuple[list[str], list[list], dict]:
+def _energy_budgets(config, out_dir: Path) -> dict[str, dict]:
+    """Write energy_budgets.csv; return the budgets for the JSON summaries.
+
+    Each architecture's CSV row is its power and pJ/MAC fields; its summary
+    adds the MAC rate and the power ratios.
+    """
     hw = to_hardware_config(config)
-    header = ["architecture", "lasers_w", "eo_w", "weighting_w", "tia_w",
-              "adc_w", "total_w", "pj_per_mac_thermal",
-              "pj_per_mac_capacitive"]
-    rows, summary = [], {}
+    rows, budgets = [], {}
     for arch in ARCHITECTURES:
         budget = energy_budget_comparative(arch, hw)
         rate = architecture_mac_rate(arch, hw)
-        thermal = efficiency(budget, rate, "thermal")
-        capacitive = efficiency(budget, rate, "capacitive")
-        rows.append([arch, budget.lasers, budget.eo_modulation,
-                     budget.weighting, budget.tia, budget.adc, budget.total,
-                     thermal, capacitive])
-        summary[arch] = {
-            "mac_rate_per_s": rate,
+        costs = {
             "lasers_w": budget.lasers,
             "eo_w": budget.eo_modulation,
             "weighting_w": budget.weighting,
             "tia_w": budget.tia,
             "adc_w": budget.adc,
             "total_w": budget.total,
+            "pj_per_mac_thermal": efficiency(budget, rate, "thermal"),
+            "pj_per_mac_capacitive": efficiency(budget, rate, "capacitive"),
+        }
+        rows.append({"architecture": arch, **costs})
+        budgets[arch] = {
+            **costs,
+            "mac_rate_per_s": rate,
             "ratios": budget.ratios(),
             "ratios_without_weighting": budget.ratios_without_weighting(),
-            "pj_per_mac_thermal": thermal,
-            "pj_per_mac_capacitive": capacitive,
         }
-    return header, rows, summary
+    write_csv(out_dir / "energy_budgets.csv", rows)
+    return budgets
 
 
 def cmd_design_space(config, args, out_dir: Path) -> int:
     hw = to_hardware_config(config)
     ds = config["design_space"]
 
-    grid = scale_grid(
-        [float(v) for v in ds["neop_grid_w"]],
-        [float(v) for v in ds["loss_grid_db"]],
-        hw.power_cap, hw.snr_target,
-        requested=hw.c_out * hw.q,
-    )
-    write_csv(out_dir / "scale_grid.csv",
-              ["neop_w", "insertion_loss_db", "scale", "feasible",
-               "limiting_factor"],
-              [[r["neop_w"], r["insertion_loss_db"], r["scale"],
-                r["feasible"], r["limiting_factor"]] for r in grid])
+    write_csv(out_dir / "scale_grid.csv", scale_grid(
+        ds["neop_grid_w"], ds["loss_grid_db"], hw.power_cap, hw.snr_target,
+        requested=hw.c_out * hw.q))
+    write_csv(out_dir / "speed_curves.csv", speed_curve(
+        hw, ds["f_m_grid_hz"], ds["loss_per_meter_levels_db"],
+        ds["image_width"], ds["sigma"]))
+    budgets = _energy_budgets(config, out_dir)
 
-    curves = speed_curve(hw, [float(v) for v in ds["f_m_grid_hz"]],
-                         [float(v) for v in ds["loss_per_meter_levels_db"]],
-                         int(ds["image_width"]), int(ds["sigma"]))
-    write_csv(out_dir / "speed_curves.csv",
-              ["loss_per_meter_db", "f_m_hz", "macs_per_second",
-               "lossless_macs_per_second", "feasible"],
-              [[r["loss_per_meter_db"], r["f_m_hz"], r["macs_per_second"],
-                r["lossless_macs_per_second"], r["feasible"]]
-               for r in curves])
-
-    header, rows, budgets = _budget_rows(config)
-    write_csv(out_dir / "energy_budgets.csv", header, rows)
-
-    headline_speed = speed(hw, int(ds["image_width"]), int(ds["sigma"]))
+    headline_speed = speed(hw, ds["image_width"], ds["sigma"])
     marked = max_scale(hw.power_cap, 7.4, hw.neop, hw.snr_target,
                        requested=hw.c_out * hw.q)
     write_summary(out_dir / "design_space.json", "design-space", config, 0, {
@@ -342,12 +299,11 @@ def cmd_design_space(config, args, out_dir: Path) -> int:
 
 
 def cmd_energy(config, args, out_dir: Path) -> int:
-    header, rows, budgets = _budget_rows(config)
-    write_csv(out_dir / "energy_budgets.csv", header, rows)
+    budgets = _energy_budgets(config, out_dir)
     write_summary(out_dir / "energy.json", "energy", config, 0,
                   {"budgets": budgets})
-    for row in rows:
-        print(f"{row[0]:>8}: total {row[6]:.3f} W")
+    for arch, budget in budgets.items():
+        print(f"{arch:>8}: total {budget['total_w']:.3f} W")
     return 0
 
 

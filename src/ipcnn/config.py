@@ -100,8 +100,9 @@ _NULLABLE = {"dataset.directory": "", "faults.neop_dbc": 0.0}
 def _check_value(path: str, default, value):
     """Check one value against its default's type; return it normalized.
 
-    Numbers must be finite.  Where the default is an integer the value must
-    be integral and >= 1, or >= 0 for seeds; it is returned as an int.
+    Numbers must be finite and are returned in their default's type.  Where
+    the default is an integer the value must be integral and >= 1, or >= 0
+    for seeds.
     """
     kinds = {bool: "a boolean", str: "a string"}
     if type(default) in kinds:
@@ -117,7 +118,7 @@ def _check_value(path: str, default, value):
     if not finite:
         raise ConfigError(f"{path!r} must be a finite number, got {value!r}")
     if isinstance(default, float):
-        return value
+        return float(value)
     if value != int(value):
         raise ConfigError(f"{path!r} must be an integer, got {value!r}")
     minimum = 0 if "seed" in path else 1

@@ -47,26 +47,6 @@ class PhotonicLayerSetup:
     pad: int
 
 
-def _conv_spec(layer: Conv2D, input_width: int) -> ConvLayerSpec:
-    return ConvLayerSpec(
-        c_in=layer.c_in,
-        c_out=layer.c_out,
-        sigma=layer.kernel,
-        image_width=input_width + 2 * layer.pad,
-    )
-
-
-def _conv_input_widths(model: NetworkModel, image_width: int = 28) -> list[int]:
-    """Input width seen by each conv layer (pooling halves in between)."""
-    widths, w = [], image_width
-    for layer in model.layers:
-        if isinstance(layer, Conv2D):
-            widths.append(w)
-        elif isinstance(layer, MaxPool2):
-            w //= 2
-    return widths
-
-
 def build_photonic_setups(
     model: NetworkModel,
     neop_dbc: float = -np.inf,
@@ -76,15 +56,24 @@ def build_photonic_setups(
     probe_repeats: int = 1,
     image_width: int = 28,
 ) -> list[PhotonicLayerSetup]:
-    """Program each conv layer onto faulted analog hardware."""
-    widths = _conv_input_widths(model, image_width)
+    """Program each conv layer onto faulted analog hardware.
+
+    One walk over the layers: each pooling halves the image width, and each
+    conv layer takes the next two children of ``seed`` (imbalance, probes).
+    """
     ss = np.random.SeedSequence(seed)
-    children = ss.spawn(2 * len(widths))
-    setups = []
-    for idx, (layer, width) in enumerate(zip(model.conv_layers, widths)):
-        spec = _conv_spec(layer, width)
+    setups, width = [], image_width
+    for layer in model.layers:
+        if isinstance(layer, MaxPool2):
+            width //= 2
+        if not isinstance(layer, Conv2D):
+            continue
+        spec = ConvLayerSpec(c_in=layer.c_in, c_out=layer.c_out,
+                             sigma=layer.kernel,
+                             image_width=width + 2 * layer.pad)
+        imbalance_seed, probe_seed = ss.spawn(2)
         gains = (
-            sample_imbalance(spec, imbalance_db, children[2 * idx])
+            sample_imbalance(spec, imbalance_db, imbalance_seed)
             if imbalance_db > 0 else None
         )
         faults = AnalogFaultModel(
@@ -93,9 +82,8 @@ def build_photonic_setups(
         # kernel tensor wants [u][v][i][j]; digital conv stores [v][u][i][j]
         programming = program_weights(layer.w.transpose(1, 0, 2, 3), spec)
         if calibration:
-            probe_rng = np.random.default_rng(children[2 * idx + 1])
             table = calibrate(spec, faults, repeats=probe_repeats,
-                              rng=probe_rng)
+                              rng=np.random.default_rng(probe_seed))
             programming = apply_calibration(programming, table)
         setups.append(PhotonicLayerSetup(
             spec=spec, programming=programming, faults=faults,

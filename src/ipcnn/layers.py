@@ -27,6 +27,8 @@ slices.  Tests hold each route bit-equal to the textbook one (tile
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -225,7 +227,8 @@ class Flatten(Layer):
     def forward(self, x, train=False):
         if train:
             self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        # the width is given, not inferred: -1 is undefined for 0 images
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, grad):
         out = grad.reshape(self._shape)

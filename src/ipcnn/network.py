@@ -59,10 +59,9 @@ class NetworkModel:
         ]
         self.metadata: dict = {"seed": seed, "trained": False}
 
-    # conv layers are at fixed positions in the stack
     @property
     def conv_layers(self) -> list[Conv2D]:
-        return [self.layers[0], self.layers[3]]
+        return [layer for layer in self.layers if isinstance(layer, Conv2D)]
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]

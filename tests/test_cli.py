@@ -1,6 +1,7 @@
 """End-to-end CLI tests on a small synthetic configuration."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -31,6 +32,27 @@ SMALL_CONFIG = {
         "loss_grid_db": [6.4, 7.4],
         "f_m_grid_hz": [2.5e9, 5e9],
         "loss_per_meter_levels_db": [0.5],
+    },
+}
+
+# sha256 of each output of the default config.  They hold the bytes through
+# a rewrite of the output code, which comparing two runs of one tree cannot.
+DEFAULT_OUTPUT_SHA256 = {
+    "design-space": {
+        "scale_grid.csv": "9fb15cf9f79fa0935c91310d8085655e"
+                          "17273efce9230049170a8c59ddb98fc1",
+        "speed_curves.csv": "e890ff3eab3eb926575a761b35867"
+                            "4de60140d1f9667eaf4cf2e1cd480950073",
+        "energy_budgets.csv": "6d7f5cb23808952e9f5c775a72feb6d2"
+                              "dec927a6f22ceaf34cd753c0d69d3779",
+        "design_space.json": "6bfda89f925811e1f1a5173868421a0c"
+                             "10214d962178b1b9a11c78b9f86c7dbb",
+    },
+    "energy": {
+        "energy_budgets.csv": "6d7f5cb23808952e9f5c775a72feb6d2"
+                              "dec927a6f22ceaf34cd753c0d69d3779",
+        "energy.json": "3da7da0c8ac93b00a9675c72b245d7bc"
+                       "aeaeb379fa34addae792190af0bbee10",
     },
 }
 
@@ -165,7 +187,9 @@ class TestSweeps:
         assert main(["--config", str(config), "--out-dir", str(directory),
                      "sweep-imbalance"]) == 0
         rows = read_csv(directory / "sweep_imbalance.csv")
-        assert rows[0][:3] == ["imbalance_db", "trials", "min"]
+        # the statistics only: the per-trial accuracies stay in the JSON
+        assert rows[0] == ["imbalance_db", "trials", "min", "q1", "median",
+                           "q3", "max"]
         assert len(rows) == 1 + 2
 
     def test_threads_flag_equivalent(self, workdir, tmp_path):
@@ -208,6 +232,16 @@ class TestDesignSpace:
         by_arch = {row[0]: row for row in rows[1:]}
         assert set(by_arch) == {"IPCNN", "DEAP", "BW", "Coherent"}
         assert float(by_arch["IPCNN"][3]) == pytest.approx(359.424)
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_OUTPUT_SHA256))
+    def test_default_outputs_bytes_pinned(self, tmp_path, command):
+        assert main(["--out-dir", str(tmp_path), command]) == 0
+        for name, digest in DEFAULT_OUTPUT_SHA256[command].items():
+            actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert actual == digest, (
+                f"{name}: pinned on x86-64 (Intel Xeon), CPython 3.11, "
+                f"numpy 2.4.6, glibc 2.36 libm: on another libm or numpy "
+                f"build a mismatch may be the environment, not the code")
 
     def test_byte_determinism(self, tmp_path):
         config = write_config(tmp_path)

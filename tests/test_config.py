@@ -94,6 +94,16 @@ class TestLoading:
         assert config["hardware"]["c_in"] == 16
         assert isinstance(config["hardware"]["c_in"], int)
 
+    def test_integer_for_float_key_becomes_float(self, tmp_path):
+        config = load_config(write_config(tmp_path, {
+            "faults": {"imbalance_db": 6},
+            "sweep": {"noise_levels_dbc": [-20, -10.5]}}))
+        assert config["faults"]["imbalance_db"] == 6.0
+        assert type(config["faults"]["imbalance_db"]) is float
+        assert config["sweep"]["noise_levels_dbc"] == [-20.0, -10.5]
+        assert all(type(v) is float
+                   for v in config["sweep"]["noise_levels_dbc"])
+
     def test_seed_may_be_zero(self, tmp_path):
         config = load_config(write_config(tmp_path, {
             "network": {"seed": 0}, "sweep": {"noise_seeds": [0]}}))

@@ -5,7 +5,6 @@ import pytest
 
 from ipcnn.conv_math import ConvLayerSpec
 from ipcnn.hybrid import (
-    _conv_input_widths,
     build_photonic_setups,
     hybrid_forward,
     infer_hybrid,
@@ -30,7 +29,9 @@ def samples():
 
 class TestSetupGeometry:
     def test_conv_input_widths(self, model):
-        assert _conv_input_widths(model) == [28, 14]
+        # pooling halves the 28-pixel image before the second conv
+        setups = build_photonic_setups(model)
+        assert [s.spec.image_width - 2 * s.pad for s in setups] == [28, 14]
 
     def test_specs_include_padding(self, model):
         setups = build_photonic_setups(model)

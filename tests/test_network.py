@@ -29,6 +29,10 @@ class TestArchitecture:
         out = model.forward(np.zeros((3, 1, 28, 28)))
         assert out.shape == (3, 10)
 
+    def test_empty_batch_logit_shape(self):
+        out = NetworkModel(seed=0).forward(np.zeros((0, 1, 28, 28)))
+        assert out.shape == (0, 10)
+
     def test_conv_layer_handles(self):
         model = NetworkModel(seed=0)
         convs = model.conv_layers
