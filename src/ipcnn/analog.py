@@ -123,9 +123,10 @@ def forward_batch(
     """Analog forward pass over a batch of images, shape (B, C_O, V, V).
 
     Computes rescale * (im2col(x) @ (gains * settings)) plus one Gaussian
-    draw of variance Q * sigma_n^2 * rescale^2 per output element: the sum
-    of the Q independent branch noises at each valid time step.  ``rng``
-    defaults to a generator seeded from ``faults.seed``.
+    draw of std ``output_noise_std`` per output element: the sum of the Q
+    independent branch noises at each valid time step.  The draw is one
+    ``rng.normal(0.0, std, size=(B*V*V, C_O))`` call.  ``rng`` defaults to
+    a generator seeded from ``faults.seed``.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 4 or images.shape[1:] != (
@@ -144,18 +145,29 @@ def forward_batch(
 
     cols, dims = im2col(images, spec.sigma)             # (B*V*V, C_I*Q)
     eff = faults.gains(spec) * programming.settings     # (C_I, Q, C_O)
-    rescale = programming.rescale
-    w_eff = rescale * eff.reshape(spec.c_in * spec.q, spec.c_out)
+    w_eff = programming.rescale * eff.reshape(spec.c_in * spec.q, spec.c_out)
     out = w_eff.T @ cols.T                              # (C_O, B*V*V)
-    sigma_n = faults.noise_sigma(spec)
-    if sigma_n > 0:
+    std = output_noise_std(programming, spec, faults)
+    if std > 0:
         if rng is None:
             rng = np.random.default_rng(faults.seed)
         # drawn as (B*V*V, C_O), the order a seed has always mapped to
         # output elements, and added transposed
-        out += rng.normal(0.0, rescale * sigma_n * np.sqrt(spec.q),
-                          size=out.shape[::-1]).T
+        out += rng.normal(0.0, std, size=out.shape[::-1]).T
     return rows_to_batch(out, dims)
+
+
+def output_noise_std(
+    programming: WeightProgramming,
+    spec: ConvLayerSpec,
+    faults: AnalogFaultModel,
+) -> float:
+    """Std of the lumped Gaussian at one output element; 0 when noiseless.
+
+    The Q independent branch noises of std sigma_n sum to one Gaussian of
+    std sigma_n * sqrt(Q), which the digital rescale then multiplies.
+    """
+    return programming.rescale * faults.noise_sigma(spec) * np.sqrt(spec.q)
 
 
 def sample_imbalance(

@@ -6,11 +6,20 @@ the digital layer uses is applied to the input image before intensity
 encoding, so the optical layer itself stays stride-1/pad-free.  Noise and
 per-trial imbalance draws are derived from a single base seed, making any
 report exactly reproducible.
+
+A noisy ``hybrid_forward`` draws its detection noise one request ahead on
+one helper thread, while the calling thread runs the GEMMs and the digital
+layers.  The draws come from the same generator in the serial order, so
+the logits and the generator's final state are those of drawing each array
+inside ``forward_batch``; nothing else may draw from that generator during
+the call, and after an exception it may be up to two requests further on.
+A noiseless call starts no thread.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +30,14 @@ from .analog import (
     apply_calibration,
     calibrate,
     forward_batch,
+    output_noise_std,
     program_weights,
     sample_imbalance,
 )
 from .conv_math import ConvLayerSpec
+from .errors import DimensionError, InvalidSpecError
 from .layers import Conv2D, MaxPool2, pad_hw
-from .network import NetworkModel
+from .network import NetworkModel, check_batch_size
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,86 @@ def build_photonic_setups(
     return setups
 
 
+class _NoiseAhead:
+    """Stands in for the noise generator of one ``hybrid_forward`` call.
+
+    ``plan`` lists the call's ``normal`` requests in order, each as
+    ``(loc, scale, (rows, cols))``.  A one-worker pool fills the next
+    request's array while the caller works, drawing from ``rng`` in the
+    order ``rng.normal`` would, so values and final generator state are the
+    serial route's.  ``take`` hands one filled array to the caller and
+    submits the next request, so exactly one request is held ahead.  The
+    calling thread allocates each array; the worker only reuses one scratch
+    chunk.
+    """
+
+    _CHUNK = 1 << 16  # draws per scratch fill
+
+    def __init__(self, rng: np.random.Generator, plan: list[tuple]):
+        self._rng = rng
+        self._plan = iter(plan)
+        self._scratch = np.empty(max([self._CHUNK] + [
+            cols for _, _, (_, cols) in plan]))
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="ipcnn-noise")
+        self._taken = None
+        self._ahead = self._submit()
+
+    def _submit(self):
+        request = next(self._plan, None)
+        if request is None:
+            return None
+        loc, scale, (rows, cols) = request
+        buf = np.empty((cols, rows))
+        return request, self._pool.submit(self._fill, buf, loc, scale)
+
+    def _fill(self, buf: np.ndarray, loc: float, scale: float) -> np.ndarray:
+        # rows of draws land as columns of buf, so the caller's transposed
+        # add reads buf contiguously; loc + scale * z as Generator.normal
+        cols, rows = buf.shape
+        step = max(1, self._CHUNK // cols)
+        for r0 in range(0, rows, step):
+            m = min(step, rows - r0)
+            z = self._scratch[:m * cols].reshape(m, cols)
+            self._rng.standard_normal(out=z)
+            dst = buf[:, r0:r0 + m]
+            np.multiply(z.T, scale, out=dst)
+            dst += loc
+        return buf.T
+
+    def take(self) -> None:
+        """Hand over the next filled array and start drawing the one after.
+
+        Called as a noisy conv starts, so the next draw overlaps this
+        conv's lowering and GEMM as well as what follows it.
+        """
+        request, future = self._ahead
+        self._taken = request, future.result()
+        self._ahead = self._submit()
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        """The taken array, which ``Generator.normal(loc, scale, size)``
+        would have drawn; raises unless it is the planned request."""
+        expected = self._taken[0] if self._taken else None
+        if expected is None or (loc, scale, size) != expected:
+            raise RuntimeError(
+                f"noise request {(loc, scale, size)} is not the planned "
+                f"next one, {expected}")
+        noise = self._taken[1]
+        self._taken = None
+        return noise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """Cancel the request held ahead if it has not started; join."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+
 def hybrid_forward(
     model: NetworkModel,
     images: np.ndarray,
@@ -102,23 +193,46 @@ def hybrid_forward(
     """Logits of the hybrid network over a batch of (N, 28, 28) images.
 
     An empty batch gives an empty (0, n_classes) array.
+
+    With noisy setups, the noise is drawn one request ahead on one helper
+    thread: as a noisy conv starts, it takes its filled noise array and the
+    helper starts drawing the next conv's.  The draws come from
+    ``noise_rng`` in the serial order, so the logits and ``noise_rng``'s
+    final state are those of passing ``noise_rng`` to every
+    ``forward_batch``.  Nothing else may draw from ``noise_rng`` during the
+    call.  When the call raises, the helper has been joined, but
+    ``noise_rng`` may be up to two requests further on than the serial
+    route would have left it: the failing conv's and the one drawn ahead.
     """
+    check_batch_size(batch_size)
+    stds = [output_noise_std(setup.programming, setup.spec, setup.faults)
+            for _, setup in zip(model.conv_layers, setups)]
+    plan = [
+        (0.0, std, (min(batch_size, len(images) - start)
+                    * setup.spec.valid_width ** 2, setup.spec.c_out))
+        for start in range(0, len(images), batch_size)
+        for setup, std in zip(setups, stds) if std > 0
+    ]
     logits = []
-    for start in range(0, len(images), batch_size):
-        x = images[start:start + batch_size][:, None, :, :]
-        conv_idx = 0
-        for layer in model.layers:
-            if isinstance(layer, Conv2D):
-                setup = setups[conv_idx]
-                x = forward_batch(
-                    pad_hw(x, setup.pad), setup.programming, setup.spec,
-                    setup.faults, rng=noise_rng,
-                )
-                x += setup.bias[None, :, None, None]
-                conv_idx += 1
-            else:
-                x = layer.forward(x)
-        logits.append(x)
+    ahead = _NoiseAhead(noise_rng, plan) if plan else nullcontext(noise_rng)
+    with ahead as rng:
+        for start in range(0, len(images), batch_size):
+            x = images[start:start + batch_size][:, None, :, :]
+            conv_idx = 0
+            for layer in model.layers:
+                if isinstance(layer, Conv2D):
+                    setup = setups[conv_idx]
+                    if stds[conv_idx] > 0:
+                        rng.take()
+                    x = forward_batch(
+                        pad_hw(x, setup.pad), setup.programming, setup.spec,
+                        setup.faults, rng=rng,
+                    )
+                    x += setup.bias[None, :, None, None]
+                    conv_idx += 1
+                else:
+                    x = layer.forward(x)
+            logits.append(x)
     if not logits:
         return np.zeros((0, model.layers[-1].w.shape[1]))
     return np.concatenate(logits)
@@ -142,6 +256,9 @@ def infer_hybrid(
     batch_size: int = 128,
 ) -> InferenceReport:
     """Run the hybrid network over a sample set and report accuracy."""
+    if len(labels) != len(images):
+        raise DimensionError(
+            f"{len(labels)} labels for {len(images)} images")
     setups = build_photonic_setups(
         model, neop_dbc=neop_dbc, imbalance_db=imbalance_db,
         calibration=calibration, seed=seed, probe_repeats=probe_repeats,
@@ -199,6 +316,8 @@ def sweep_imbalance(
     threads: int = 1,
 ) -> list[dict]:
     """Box-plot statistics of accuracy over fresh imbalance draws per level."""
+    if trials < 1:
+        raise InvalidSpecError(f"trials must be >= 1, got {trials}")
     jobs = [(li, t) for li in range(len(levels_db)) for t in range(trials)]
 
     def run(job):

@@ -21,6 +21,12 @@ from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2, ReLU, cross_entropy
 ARCH_VERSION = 1
 
 
+def check_batch_size(batch_size: int) -> None:
+    """Raise InvalidSpecError for a batch size below 1."""
+    if batch_size < 1:
+        raise InvalidSpecError(f"batch size must be >= 1, got {batch_size}")
+
+
 @dataclass
 class Hyperparams:
     epochs: int = 5
@@ -36,8 +42,7 @@ class Hyperparams:
             raise InvalidSpecError(f"learning rate must be > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise InvalidSpecError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            raise InvalidSpecError(f"batch size must be >= 1, got {self.batch_size}")
+        check_batch_size(self.batch_size)
 
 
 class NetworkModel:
@@ -86,6 +91,7 @@ class NetworkModel:
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Predicted class per image; an empty batch gives an empty array."""
+        check_batch_size(batch_size)
         preds = [self.forward(x[i:i + batch_size]).argmax(axis=1)
                  for i in range(0, len(x), batch_size)]
         return np.concatenate(preds) if preds else np.zeros(0, dtype=np.intp)
@@ -93,9 +99,10 @@ class NetworkModel:
     def accuracy(self, x: np.ndarray, labels: np.ndarray,
                  batch_size: int = 256) -> float:
         """Fraction of correct predictions; NaN for an empty batch."""
-        if len(x) == 0:
+        preds = self.predict(x, batch_size)
+        if len(preds) == 0:
             return float("nan")
-        return float(np.mean(self.predict(x, batch_size) == labels))
+        return float(np.mean(preds == labels))
 
     def model_hash(self) -> str:
         h = hashlib.sha256()

@@ -1,22 +1,59 @@
+import dataclasses
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from ipcnn.analog import forward_batch
 from ipcnn.conv_math import ConvLayerSpec
+from ipcnn.errors import DimensionError, EncodingError, InvalidSpecError
 from ipcnn.hybrid import (
+    _NoiseAhead,
     build_photonic_setups,
     hybrid_forward,
     infer_hybrid,
     sweep_imbalance,
     sweep_noise,
 )
+from ipcnn.layers import Conv2D, pad_hw
 from ipcnn.network import NetworkModel
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves more live threads than it started with."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, (
+        f"{threading.active_count() - before} thread(s) left running: "
+        f"{[t.name for t in threading.enumerate()]}")
 
 
 @pytest.fixture(scope="module")
 def model():
     return NetworkModel(seed=0)
+
+
+def serial_forward(model, images, setups, rng, batch_size=128):
+    """Reference route: every conv draws its noise from ``rng`` itself."""
+    logits = []
+    for start in range(0, len(images), batch_size):
+        x = images[start:start + batch_size][:, None, :, :]
+        conv_idx = 0
+        for layer in model.layers:
+            if isinstance(layer, Conv2D):
+                setup = setups[conv_idx]
+                x = forward_batch(pad_hw(x, setup.pad), setup.programming,
+                                  setup.spec, setup.faults, rng=rng)
+                x += setup.bias[None, :, None, None]
+                conv_idx += 1
+            else:
+                x = layer.forward(x)
+        logits.append(x)
+    return np.concatenate(logits) if logits else np.zeros((0, 10))
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +213,133 @@ class TestSweeps:
         b = sweep_imbalance(model, images, labels, [6.0], trials=3,
                             base_seed=4)
         assert a == b
+
+
+def _conv2_only_noisy(model):
+    setups = build_photonic_setups(model, neop_dbc=-10.0, seed=3)
+    quiet = dataclasses.replace(setups[0].faults, neop_dbc=-np.inf)
+    return [dataclasses.replace(setups[0], faults=quiet), setups[1]]
+
+
+class TestNoiseAhead:
+    """The look-ahead draws the serial route's noise, byte for byte."""
+
+    @pytest.mark.parametrize("n_images, batch_size, make_setups", [
+        (37, 16, lambda m: build_photonic_setups(m, neop_dbc=-10.0, seed=1)),
+        (1, 128, lambda m: build_photonic_setups(m, neop_dbc=-10.0, seed=2)),
+        (20, 8, lambda m: build_photonic_setups(
+            m, neop_dbc=-15.0, imbalance_db=6.0, calibration=True, seed=4)),
+        (0, 16, lambda m: build_photonic_setups(m, neop_dbc=-10.0, seed=5)),
+        (10, 4, _conv2_only_noisy),
+    ], ids=["uneven-last-batch", "one-image", "imbalance-calibrated",
+            "no-images", "conv2-only-noisy"])
+    def test_matches_serial_route(self, model, n_images, batch_size,
+                                  make_setups):
+        images = np.random.default_rng(9).random((n_images, 28, 28))
+        setups = make_setups(model)
+        ahead_rng = np.random.default_rng(11)
+        serial_rng = np.random.default_rng(11)
+        logits = hybrid_forward(model, images, setups, ahead_rng,
+                                batch_size=batch_size)
+        reference = serial_forward(model, images, setups, serial_rng,
+                                   batch_size=batch_size)
+        assert logits.shape == reference.shape == (n_images, 10)
+        assert logits.tobytes() == reference.tobytes()
+        assert (ahead_rng.bit_generator.state
+                == serial_rng.bit_generator.state)
+
+    def test_concurrent_calls_under_fast_switching(self, model):
+        # four callers, each with its own helper, on a 2-core host; a
+        # short switch interval interleaves the threads as often as it can
+        images = np.random.default_rng(9).random((24, 28, 28))
+        setups = build_photonic_setups(model, neop_dbc=-10.0)
+        serial = [serial_forward(model, images, setups,
+                                 np.random.default_rng(seed), batch_size=8)
+                  for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                ahead = list(pool.map(
+                    lambda seed: hybrid_forward(
+                        model, images, setups, np.random.default_rng(seed),
+                        batch_size=8),
+                    range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for logits, reference in zip(ahead, serial, strict=True):
+            assert logits.tobytes() == reference.tobytes()
+
+    def test_error_mid_call_joins_helper(self, model):
+        images = np.random.default_rng(9).random((20, 28, 28))
+        images[10, 3, 3] = np.nan           # second batch of 8
+        setups = build_photonic_setups(model, neop_dbc=-10.0)
+        before = threading.active_count()
+        with pytest.raises(EncodingError, match="non-finite"):
+            hybrid_forward(model, images, setups, np.random.default_rng(0),
+                           batch_size=8)
+        assert threading.active_count() == before
+
+    def test_noiseless_call_starts_no_thread(self, model, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: (started.append(t.name), start(t)))
+        images = np.random.default_rng(9).random((20, 28, 28))
+        setups = build_photonic_setups(model, imbalance_db=6.0,
+                                       calibration=True)
+        hybrid_forward(model, images, setups, np.random.default_rng(0),
+                       batch_size=8)
+        assert started == []
+
+    def test_request_off_plan_raises(self):
+        plan = [(0.0, 1.0, (4, 2))] * 2
+        with _NoiseAhead(np.random.default_rng(0), plan) as ahead:
+            with pytest.raises(RuntimeError, match="not the planned"):
+                ahead.normal(0.0, 1.0, size=(4, 2))    # nothing taken yet
+            ahead.take()
+            with pytest.raises(RuntimeError, match="not the planned"):
+                ahead.normal(0.0, 2.0, size=(4, 2))
+            noise = ahead.normal(0.0, 1.0, size=(4, 2))
+            with pytest.raises(RuntimeError, match="not the planned"):
+                ahead.normal(0.0, 1.0, size=(4, 2))    # taken once only
+        np.testing.assert_array_equal(
+            noise, np.random.default_rng(0).normal(0.0, 1.0, size=(4, 2)))
+
+
+class TestBadCounts:
+    """Counts below 1 and mismatched labels raise typed errors."""
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_hybrid_forward_batch_size(self, model, batch_size):
+        setups = build_photonic_setups(model, neop_dbc=-10.0)
+        with pytest.raises(InvalidSpecError, match="batch size"):
+            hybrid_forward(model, np.zeros((6, 28, 28)), setups,
+                           np.random.default_rng(0), batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_infer_hybrid_batch_size(self, model, samples, batch_size):
+        images, labels = samples
+        with pytest.raises(InvalidSpecError, match="batch size"):
+            infer_hybrid(model, images, labels, batch_size=batch_size)
+
+    def test_infer_hybrid_label_count(self, model, samples):
+        images, labels = samples
+        with pytest.raises(DimensionError, match="labels"):
+            infer_hybrid(model, images[:6], labels[:5])
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_batch_size(self, model, batch_size):
+        with pytest.raises(InvalidSpecError, match="batch size"):
+            model.predict(np.zeros((6, 1, 28, 28)), batch_size=batch_size)
+
+    @pytest.mark.parametrize("n_images", [6, 0])
+    def test_accuracy_batch_size(self, model, n_images):
+        with pytest.raises(InvalidSpecError, match="batch size"):
+            model.accuracy(np.zeros((n_images, 1, 28, 28)),
+                           np.zeros(n_images, dtype=np.int64), batch_size=0)
+
+    def test_sweep_imbalance_trials(self, model, samples):
+        images, labels = samples
+        with pytest.raises(InvalidSpecError, match="trials"):
+            sweep_imbalance(model, images, labels, [6.0], trials=0)
