@@ -7,17 +7,21 @@ encoding, so the optical layer itself stays stride-1/pad-free.  Noise and
 per-trial imbalance draws are derived from a single base seed, making any
 report exactly reproducible.
 
-A noisy ``hybrid_forward`` draws its detection noise one request ahead on
-one helper thread, while the calling thread runs the GEMMs and the digital
-layers.  The draws come from the same generator in the serial order, so
-the logits and the generator's final state are those of drawing each array
-inside ``forward_batch``; nothing else may draw from that generator during
-the call, and after an exception it may be up to two requests further on.
+``hybrid_forward`` walks each batch in blocks of ``INFER_BLOCK`` images,
+conv stage by conv stage, so that no block's arrays outgrow the
+allocator's reusable heap.  A noisy call draws its detection noise one
+batch ahead on one helper thread, while the calling thread runs the GEMMs
+and the digital layers.  The draws come from the same generator in the
+serial order, so the logits and the generator's final state are those of
+drawing each conv's whole-batch array inside ``forward_batch``; nothing
+else may draw from that generator during the call, and after an exception
+it may be up to one batch further on.
 A noiseless call starts no thread.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -36,8 +40,8 @@ from .analog import (
 )
 from .conv_math import ConvLayerSpec
 from .errors import DimensionError, InvalidSpecError
-from .layers import Conv2D, MaxPool2, pad_hw
-from .network import NetworkModel, check_batch_size
+from .layers import Conv2D, Flatten, MaxPool2, pad_hw
+from .network import INFER_BLOCK, NetworkModel, check_batch_size
 
 
 @dataclass(frozen=True)
@@ -106,71 +110,89 @@ def build_photonic_setups(
 class _NoiseAhead:
     """Stands in for the noise generator of one ``hybrid_forward`` call.
 
-    ``plan`` lists the call's ``normal`` requests in order, each as
-    ``(loc, scale, (rows, cols))``.  A one-worker pool fills the next
-    request's array while the caller works, drawing from ``rng`` in the
-    order ``rng.normal`` would, so values and final generator state are the
-    serial route's.  ``take`` hands one filled array to the caller and
-    submits the next request, so exactly one request is held ahead.  The
-    calling thread allocates each array; the worker only reuses one scratch
-    chunk.
+    ``plan`` lists the call's batches in order, each as the list of the
+    ``normal`` requests the serial route would make for it, one per noisy
+    conv, as ``(loc, scale, (rows, cols))``.  A one-worker pool fills a
+    whole batch's arrays while the caller works on the batch before it,
+    drawing from ``rng`` in the order ``rng.normal`` would, so values and
+    final generator state are the serial route's.  ``take`` hands one
+    batch's arrays to the caller and submits the next batch, so exactly one
+    batch is held ahead; ``normal`` serves consecutive row slices of them.
+    The calling thread allocates each array; the worker only reuses one
+    scratch chunk.
     """
 
     _CHUNK = 1 << 16  # draws per scratch fill
 
-    def __init__(self, rng: np.random.Generator, plan: list[tuple]):
+    def __init__(self, rng: np.random.Generator, plan: list[list[tuple]]):
         self._rng = rng
         self._plan = iter(plan)
         self._scratch = np.empty(max([self._CHUNK] + [
-            cols for _, _, (_, cols) in plan]))
+            cols for batch in plan for _, _, (_, cols) in batch]))
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="ipcnn-noise")
-        self._taken = None
+        self._taken = deque()
         self._ahead = self._submit()
 
     def _submit(self):
-        request = next(self._plan, None)
-        if request is None:
+        batch = next(self._plan, None)
+        if batch is None:
             return None
-        loc, scale, (rows, cols) = request
-        buf = np.empty((cols, rows))
-        return request, self._pool.submit(self._fill, buf, loc, scale)
+        bufs = [np.empty((cols, rows)) for _, _, (rows, cols) in batch]
+        return batch, bufs, self._pool.submit(self._fill_batch, batch, bufs)
 
-    def _fill(self, buf: np.ndarray, loc: float, scale: float) -> np.ndarray:
-        # rows of draws land as columns of buf, so the caller's transposed
-        # add reads buf contiguously; loc + scale * z as Generator.normal
-        cols, rows = buf.shape
-        step = max(1, self._CHUNK // cols)
-        for r0 in range(0, rows, step):
-            m = min(step, rows - r0)
-            z = self._scratch[:m * cols].reshape(m, cols)
-            self._rng.standard_normal(out=z)
-            dst = buf[:, r0:r0 + m]
-            np.multiply(z.T, scale, out=dst)
-            dst += loc
-        return buf.T
+    def _fill_batch(self, batch: list[tuple], bufs: list[np.ndarray]) -> None:
+        # rows of draws land as columns of each buf, so the caller's
+        # transposed add reads it contiguously; loc + scale * z as
+        # Generator.normal
+        for (loc, scale, _), buf in zip(batch, bufs):
+            cols, rows = buf.shape
+            step = max(1, self._CHUNK // cols)
+            for r0 in range(0, rows, step):
+                m = min(step, rows - r0)
+                z = self._scratch[:m * cols].reshape(m, cols)
+                self._rng.standard_normal(out=z)
+                dst = buf[:, r0:r0 + m]
+                np.multiply(z.T, scale, out=dst)
+                dst += loc
 
     def take(self) -> None:
-        """Hand over the next filled array and start drawing the one after.
+        """Hand over the next batch's filled arrays; start the one after.
 
-        Called as a noisy conv starts, so the next draw overlaps this
-        conv's lowering and GEMM as well as what follows it.
+        Called as a batch starts, so the next batch's draws overlap all of
+        this batch's work.  Raises if rows of the batch before are unused.
         """
-        request, future = self._ahead
-        self._taken = request, future.result()
+        if self._taken:
+            raise RuntimeError(
+                f"noise request {self._taken[0][0]} is not fully used")
+        batch, bufs, future = self._ahead
+        future.result()
+        self._taken.extend([request, buf.T, 0]
+                           for request, buf in zip(batch, bufs))
         self._ahead = self._submit()
 
     def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        """The taken array, which ``Generator.normal(loc, scale, size)``
-        would have drawn; raises unless it is the planned request."""
-        expected = self._taken[0] if self._taken else None
-        if expected is None or (loc, scale, size) != expected:
+        """The next ``size[0]`` rows of the taken batch's current array,
+        which ``Generator.normal(loc, scale, size)`` would have drawn in
+        the serial route; raises unless they continue the planned request.
+        """
+        if not self._taken:
             raise RuntimeError(
                 f"noise request {(loc, scale, size)} is not the planned "
-                f"next one, {expected}")
-        noise = self._taken[1]
-        self._taken = None
-        return noise
+                "next one: no batch is taken")
+        entry = self._taken[0]
+        request, noise, used = entry
+        planned_loc, planned_scale, (planned_rows, cols) = request
+        rows = size[0]
+        if ((loc, scale, size[1:]) != (planned_loc, planned_scale, (cols,))
+                or used + rows > planned_rows):
+            raise RuntimeError(
+                f"noise request {(loc, scale, size)} is not the planned "
+                f"next one: rows {used}: of {request}")
+        entry[2] = used + rows
+        if entry[2] == planned_rows:
+            self._taken.popleft()
+        return noise[used:used + rows]
 
     def __enter__(self):
         return self
@@ -179,7 +201,7 @@ class _NoiseAhead:
         self.close()
 
     def close(self) -> None:
-        """Cancel the request held ahead if it has not started; join."""
+        """Cancel the batch held ahead if it has not started; join."""
         self._pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -194,48 +216,81 @@ def hybrid_forward(
 
     An empty batch gives an empty (0, n_classes) array.
 
-    With noisy setups, the noise is drawn one request ahead on one helper
-    thread: as a noisy conv starts, it takes its filled noise array and the
-    helper starts drawing the next conv's.  The draws come from
+    Each batch of ``batch_size`` images is walked stage by stage: a conv
+    with its bias, ReLU and pooling runs over blocks of ``INFER_BLOCK``
+    images, in order, before the next conv starts.  ``Flatten`` and the
+    dense layers then run over the whole batch, so the logits keep the
+    bits of a whole-batch pass.
+
+    With noisy setups, the noise is drawn one batch ahead on one helper
+    thread: as a batch starts, it takes every noisy conv's filled array for
+    that batch, and the helper starts drawing the next batch's.  Each block
+    uses the next rows of its conv's array.  The draws come from
     ``noise_rng`` in the serial order, so the logits and ``noise_rng``'s
-    final state are those of passing ``noise_rng`` to every
-    ``forward_batch``.  Nothing else may draw from ``noise_rng`` during the
-    call.  When the call raises, the helper has been joined, but
-    ``noise_rng`` may be up to two requests further on than the serial
-    route would have left it: the failing conv's and the one drawn ahead.
+    final state are those of a whole-batch walk that passes ``noise_rng``
+    to every ``forward_batch``.  Nothing else may draw from ``noise_rng``
+    during the call.  When the call raises, the helper has been joined, but
+    ``noise_rng`` may be up to one batch further on than the serial route
+    would have left it.
     """
     check_batch_size(batch_size)
     stds = [output_noise_std(setup.programming, setup.spec, setup.faults)
             for _, setup in zip(model.conv_layers, setups)]
+    starts = range(0, len(images), batch_size)
     plan = [
-        (0.0, std, (min(batch_size, len(images) - start)
-                    * setup.spec.valid_width ** 2, setup.spec.c_out))
-        for start in range(0, len(images), batch_size)
-        for setup, std in zip(setups, stds) if std > 0
-    ]
+        [(0.0, std, (min(batch_size, len(images) - start)
+                     * setup.spec.valid_width ** 2, setup.spec.c_out))
+         for setup, std in zip(setups, stds) if std > 0]
+        for start in starts
+    ] if any(std > 0 for std in stds) else []
+    stages, head = _conv_stages(model)
     logits = []
     ahead = _NoiseAhead(noise_rng, plan) if plan else nullcontext(noise_rng)
     with ahead as rng:
-        for start in range(0, len(images), batch_size):
+        for start in starts:
+            if plan:
+                rng.take()
             x = images[start:start + batch_size][:, None, :, :]
-            conv_idx = 0
-            for layer in model.layers:
-                if isinstance(layer, Conv2D):
-                    setup = setups[conv_idx]
-                    if stds[conv_idx] > 0:
-                        rng.take()
-                    x = forward_batch(
-                        pad_hw(x, setup.pad), setup.programming, setup.spec,
-                        setup.faults, rng=rng,
-                    )
-                    x += setup.bias[None, :, None, None]
-                    conv_idx += 1
-                else:
-                    x = layer.forward(x)
+            for setup, layers in zip(setups, stages):
+                x = _blocked_stage(x, setup, layers, rng)
+            for layer in head:
+                x = layer.forward(x)
             logits.append(x)
     if not logits:
         return np.zeros((0, model.layers[-1].w.shape[1]))
     return np.concatenate(logits)
+
+
+def _conv_stages(model: NetworkModel):
+    """Per conv, the digital layers after it up to the next conv or
+    ``Flatten``; and the layers from ``Flatten`` on."""
+    stages, head = [], list(model.layers)
+    while not isinstance(head[0], Flatten):
+        layer = head.pop(0)
+        if isinstance(layer, Conv2D):
+            stages.append([])
+        else:
+            stages[-1].append(layer)
+    return stages, head
+
+
+def _blocked_stage(x, setup: PhotonicLayerSetup, layers, rng) -> np.ndarray:
+    """One analog conv, its bias and ``layers`` over ``x`` in blocks of
+    ``INFER_BLOCK`` images, gathered into one channel-major batch."""
+    out = None
+    for start in range(0, len(x), INFER_BLOCK):
+        y = forward_batch(
+            pad_hw(x[start:start + INFER_BLOCK], setup.pad),
+            setup.programming, setup.spec, setup.faults, rng=rng,
+        )
+        y += setup.bias[None, :, None, None]
+        for layer in layers:
+            y = layer.forward(y)
+        if out is None:
+            _, c, h, w = y.shape
+            out = np.empty((c, len(x), h, w)).transpose(1, 0, 2, 3)
+        out[start:start + len(y)] = y
+    return out
 
 
 def _confusion(labels: np.ndarray, preds: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +22,20 @@ from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2, ReLU, cross_entropy
 
 ARCH_VERSION = 1
 
+# Images per block of an inference pass, digital or hybrid.  A block's
+# largest arrays (conv2's 14 MB lowering, conv1's 6.4 MB output) stay under
+# glibc's 32 MiB mmap ceiling, so they are reused from the heap instead of
+# being mapped and faulted in afresh for every batch.
+INFER_BLOCK = 32
 
-def check_batch_size(batch_size: int) -> None:
-    """Raise InvalidSpecError for a batch size below 1."""
+
+def check_batch_size(batch_size) -> None:
+    """Raise InvalidSpecError unless the batch size is an integer >= 1."""
+    try:
+        operator.index(batch_size)
+    except TypeError:
+        raise InvalidSpecError(
+            f"batch size must be an integer, got {batch_size!r}") from None
     if batch_size < 1:
         raise InvalidSpecError(f"batch size must be >= 1, got {batch_size}")
 
@@ -89,16 +102,41 @@ class NetworkModel:
         first.backward(grad, input_grad=False)
         return loss
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Predicted class per image; an empty batch gives an empty array."""
+    def predict(self, x: np.ndarray,
+                batch_size: int = INFER_BLOCK) -> np.ndarray:
+        """Predicted class per image; an empty batch gives an empty array.
+
+        Evaluates blocks of ``batch_size`` images, the odd-numbered ones on
+        one helper thread while the calling thread takes the rest, so at
+        most two threads work at once; a single block starts no thread.
+        Inference-mode layers keep no state, so the two may share the
+        model.  The logits of a block round like those of any batch of its
+        size; only their argmax leaves this method.
+        """
         check_batch_size(batch_size)
-        preds = [self.forward(x[i:i + batch_size]).argmax(axis=1)
-                 for i in range(0, len(x), batch_size)]
-        return np.concatenate(preds) if preds else np.zeros(0, dtype=np.intp)
+        starts = range(0, len(x), batch_size)
+        preds = np.empty(len(x), dtype=np.intp)
+
+        def run(block_starts):
+            for i in block_starts:
+                preds[i:i + batch_size] = self.forward(
+                    x[i:i + batch_size]).argmax(axis=1)
+
+        if len(starts) < 2:
+            run(starts)
+            return preds
+        with ThreadPoolExecutor(max_workers=1,
+                                thread_name_prefix="ipcnn-predict") as pool:
+            helper = pool.submit(run, starts[1::2])
+            run(starts[0::2])
+            helper.result()
+        return preds
 
     def accuracy(self, x: np.ndarray, labels: np.ndarray,
-                 batch_size: int = 256) -> float:
+                 batch_size: int = INFER_BLOCK) -> float:
         """Fraction of correct predictions; NaN for an empty batch."""
+        if len(labels) != len(x):
+            raise DimensionError(f"{len(labels)} labels for {len(x)} images")
         preds = self.predict(x, batch_size)
         if len(preds) == 0:
             return float("nan")

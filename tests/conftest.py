@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,16 @@ SYNTH_TEST = 1000
 # 1.5 pp noise-tolerance margin at -10 dBc
 SYNTH_EPOCHS = 8
 TRAIN_SEED = 0
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves more live threads than it started with."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, (
+        f"{threading.active_count() - before} thread(s) left running: "
+        f"{[t.name for t in threading.enumerate()]}")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from ipcnn.analog import forward_batch
 from ipcnn.conv_math import ConvLayerSpec
+from ipcnn import hybrid
 from ipcnn.errors import DimensionError, EncodingError, InvalidSpecError
 from ipcnn.hybrid import (
     _NoiseAhead,
@@ -19,17 +21,7 @@ from ipcnn.hybrid import (
     sweep_noise,
 )
 from ipcnn.layers import Conv2D, pad_hw
-from ipcnn.network import NetworkModel
-
-
-@pytest.fixture(autouse=True)
-def no_thread_left():
-    """Fail a test that leaves more live threads than it started with."""
-    before = threading.active_count()
-    yield
-    assert threading.active_count() <= before, (
-        f"{threading.active_count() - before} thread(s) left running: "
-        f"{[t.name for t in threading.enumerate()]}")
+from ipcnn.network import Hyperparams, NetworkModel, train
 
 
 @pytest.fixture(scope="module")
@@ -231,8 +223,19 @@ class TestNoiseAhead:
             m, neop_dbc=-15.0, imbalance_db=6.0, calibration=True, seed=4)),
         (0, 16, lambda m: build_photonic_setups(m, neop_dbc=-10.0, seed=5)),
         (10, 4, _conv2_only_noisy),
+        # batches that split into 32-image blocks, the last one short
+        (70, 64, lambda m: build_photonic_setups(m, neop_dbc=-10.0, seed=6)),
+        (103, 103, lambda m: build_photonic_setups(m, neop_dbc=-10.0,
+                                                   seed=7)),
+        (999, 128, lambda m: build_photonic_setups(m, neop_dbc=-10.0,
+                                                   seed=8)),
+        (77, 77, _conv2_only_noisy),
+        (90, 50, lambda m: build_photonic_setups(
+            m, neop_dbc=-15.0, imbalance_db=6.0, calibration=True, seed=9)),
     ], ids=["uneven-last-batch", "one-image", "imbalance-calibrated",
-            "no-images", "conv2-only-noisy"])
+            "no-images", "conv2-only-noisy", "blocks-two-batches",
+            "blocks-one-batch", "blocks-999-images", "blocks-conv2-only-noisy",
+            "blocks-imbalance-calibrated"])
     def test_matches_serial_route(self, model, n_images, batch_size,
                                   make_setups):
         images = np.random.default_rng(9).random((n_images, 28, 28))
@@ -292,19 +295,91 @@ class TestNoiseAhead:
                        batch_size=8)
         assert started == []
 
+    def test_no_draw_in_flight_during_a_conv(self, model, monkeypatch):
+        # a one-batch call draws all its noise before its first conv and
+        # leaves the helper idle after; a memory probe that starts and
+        # stops tracemalloc around each forward_batch relies on that
+        convs = []
+        original = hybrid.forward_batch
+
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            out = original(*args, **kwargs)
+            convs.append((start, time.perf_counter()))
+            return out
+
+        monkeypatch.setattr(hybrid, "forward_batch", timed)
+        rng = _TimedDraws(np.random.default_rng(0))
+        images = np.random.default_rng(9).random((100, 28, 28))
+        hybrid_forward(model, images,
+                       build_photonic_setups(model, neop_dbc=-10.0), rng,
+                       batch_size=len(images))
+        assert len(convs) == 8 and rng.draws
+        assert max(end for _, end in rng.draws) <= min(
+            start for start, _ in convs)
+
     def test_request_off_plan_raises(self):
-        plan = [(0.0, 1.0, (4, 2))] * 2
+        plan = [[(0.0, 1.0, (4, 2)), (0.0, 3.0, (2, 2))]] * 2
         with _NoiseAhead(np.random.default_rng(0), plan) as ahead:
             with pytest.raises(RuntimeError, match="not the planned"):
                 ahead.normal(0.0, 1.0, size=(4, 2))    # nothing taken yet
             ahead.take()
             with pytest.raises(RuntimeError, match="not the planned"):
-                ahead.normal(0.0, 2.0, size=(4, 2))
-            noise = ahead.normal(0.0, 1.0, size=(4, 2))
+                ahead.normal(0.0, 2.0, size=(4, 2))    # wrong scale
             with pytest.raises(RuntimeError, match="not the planned"):
-                ahead.normal(0.0, 1.0, size=(4, 2))    # taken once only
+                ahead.normal(0.0, 1.0, size=(4, 3))    # wrong column count
+            head = ahead.normal(0.0, 1.0, size=(3, 2))
+            with pytest.raises(RuntimeError, match="not the planned"):
+                ahead.normal(0.0, 1.0, size=(2, 2))    # past the conv's rows
+            tail = ahead.normal(0.0, 1.0, size=(1, 2))
+            with pytest.raises(RuntimeError, match="not fully used"):
+                ahead.take()                           # second conv unused
+            second = ahead.normal(0.0, 3.0, size=(2, 2))
+            with pytest.raises(RuntimeError, match="not the planned"):
+                ahead.normal(0.0, 3.0, size=(1, 2))    # past the batch's rows
+        serial = np.random.default_rng(0)
         np.testing.assert_array_equal(
-            noise, np.random.default_rng(0).normal(0.0, 1.0, size=(4, 2)))
+            np.concatenate([head, tail]), serial.normal(0.0, 1.0, size=(4, 2)))
+        np.testing.assert_array_equal(
+            second, serial.normal(0.0, 3.0, size=(2, 2)))
+
+
+class _TimedDraws:
+    """A generator whose ``standard_normal`` calls record their spans."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
+
+    def standard_normal(self, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return self._rng.standard_normal(*args, **kwargs)
+        finally:
+            self.draws.append((start, time.perf_counter()))
+
+
+class TestBlockedPredict:
+    def test_matches_one_forward(self, model):
+        # 100 images make three full 32-image blocks and one of 4
+        x = np.random.default_rng(3).random((100, 1, 28, 28))
+        np.testing.assert_array_equal(model.predict(x),
+                                      model.forward(x).argmax(axis=1))
+
+    def test_concurrent_calls_under_fast_switching(self, model):
+        # four callers, each with its own helper, share one model
+        x = np.random.default_rng(3).random((100, 1, 28, 28))
+        expected = model.forward(x).argmax(axis=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                preds = list(pool.map(lambda _: model.predict(x), range(4),
+                                      timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for p in preds:
+            np.testing.assert_array_equal(p, expected)
 
 
 class TestBadCounts:
@@ -338,6 +413,26 @@ class TestBadCounts:
         with pytest.raises(InvalidSpecError, match="batch size"):
             model.accuracy(np.zeros((n_images, 1, 28, 28)),
                            np.zeros(n_images, dtype=np.int64), batch_size=0)
+
+    @pytest.mark.parametrize("call", ["predict", "hybrid_forward", "train"])
+    def test_non_integral_batch_size(self, model, call):
+        images = np.zeros((6, 28, 28))
+        run = {
+            "predict": lambda: model.predict(images[:, None], batch_size=2.5),
+            "hybrid_forward": lambda: hybrid_forward(
+                model, images, build_photonic_setups(model),
+                np.random.default_rng(0), batch_size=2.5),
+            "train": lambda: train(
+                NetworkModel(seed=0), images[:, None],
+                np.zeros(6, dtype=np.int64),
+                Hyperparams(epochs=1, batch_size=2.5)),
+        }[call]
+        with pytest.raises(InvalidSpecError, match="integer"):
+            run()
+
+    def test_accuracy_label_count(self, model):
+        with pytest.raises(DimensionError, match="labels"):
+            model.accuracy(np.zeros((6, 1, 28, 28)), np.zeros(5, dtype=int))
 
     def test_sweep_imbalance_trials(self, model, samples):
         images, labels = samples
