@@ -188,7 +188,7 @@ class _NoiseAhead:
                 or used + rows > planned_rows):
             raise RuntimeError(
                 f"noise request {(loc, scale, size)} is not the planned "
-                f"next one: rows {used}: of {request}")
+                f"next one: {used} rows used of {request}")
         entry[2] = used + rows
         if entry[2] == planned_rows:
             self._taken.popleft()
