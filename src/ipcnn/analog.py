@@ -65,6 +65,14 @@ class AnalogFaultModel:
     path_gains: np.ndarray | None = None  # (C_I, Q, C_O); None = all unity
     seed: int = 0
 
+    def __post_init__(self):
+        # -inf is noise off; NaN, +inf and levels whose power ratio
+        # 10**(dBc/10) overflows a float fail the comparison
+        if not (np.isneginf(self.neop_dbc) or self.neop_dbc < 3080):
+            raise InvalidSpecError(
+                f"noise level must be -inf or below 3080 dBc, "
+                f"got {self.neop_dbc}")
+
     @property
     def noiseless(self) -> bool:
         return np.isneginf(self.neop_dbc)
@@ -178,8 +186,9 @@ def sample_imbalance(
     Gains are drawn log-uniform, then affinely stretched in the log domain
     to hit the requested spread exactly, centered on 0 dB.
     """
-    if level_db < 0:
-        raise InvalidSpecError(f"imbalance level must be >= 0 dB, got {level_db}")
+    if not 0 <= level_db < np.inf:
+        raise InvalidSpecError(
+            f"imbalance level must be finite and >= 0 dB, got {level_db}")
     shape = (spec.c_in, spec.q, spec.c_out)
     if level_db == 0:
         return np.ones(shape)

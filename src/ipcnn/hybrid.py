@@ -9,21 +9,17 @@ report exactly reproducible.
 
 ``hybrid_forward`` walks each batch in blocks of ``INFER_BLOCK`` images,
 conv stage by conv stage, so that no block's arrays outgrow the
-allocator's reusable heap.  A noisy call draws its detection noise one
-batch ahead on one helper thread, while the calling thread runs the GEMMs
-and the digital layers.  The draws come from the same generator in the
-serial order, so the logits and the generator's final state are those of
-drawing each conv's whole-batch array inside ``forward_batch``; nothing
-else may draw from that generator during the call, and after an exception
-it may be up to one batch further on.
-A noiseless call starts no thread.
+allocator's reusable heap.  Detection noise is a function of (seed, conv,
+image): each image draws each conv's noise from a generator of its own, so
+an image's logits do not depend on the batch size, on the images after it
+or on the thread that ran it.  A noisy call hands every other batch, with
+its noise draws, to one helper thread; a noiseless or one-batch call
+starts no thread.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +37,8 @@ from .analog import (
 from .conv_math import ConvLayerSpec
 from .errors import DimensionError, InvalidSpecError
 from .layers import Conv2D, Flatten, MaxPool2, pad_hw
-from .network import INFER_BLOCK, NetworkModel, check_batch_size
+from .network import (INFER_BLOCK, NetworkModel, check_batch_size,
+                      run_on_two_threads)
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,10 @@ def build_photonic_setups(
                              sigma=layer.kernel,
                              image_width=width + 2 * layer.pad)
         imbalance_seed, probe_seed = ss.spawn(2)
-        gains = (
-            sample_imbalance(spec, imbalance_db, imbalance_seed)
-            if imbalance_db > 0 else None
-        )
-        faults = AnalogFaultModel(
-            neop_dbc=neop_dbc, path_gains=gains, seed=seed
-        )
+        # a negative or non-finite level reaches sample_imbalance and raises
+        gains = (sample_imbalance(spec, imbalance_db, imbalance_seed)
+                 if imbalance_db != 0 else None)
+        faults = AnalogFaultModel(neop_dbc=neop_dbc, path_gains=gains, seed=seed)
         # kernel tensor wants [u][v][i][j]; digital conv stores [v][u][i][j]
         programming = program_weights(layer.w.transpose(1, 0, 2, 3), spec)
         if calibration:
@@ -107,102 +101,29 @@ def build_photonic_setups(
     return setups
 
 
-class _NoiseAhead:
-    """Stands in for the noise generator of one ``hybrid_forward`` call.
+class _KeyedNoise:
+    """Stands in for ``forward_batch``'s generator over one block of images.
 
-    ``plan`` lists the call's batches in order, each as the list of the
-    ``normal`` requests the serial route would make for it, one per noisy
-    conv, as ``(loc, scale, (rows, cols))``.  A one-worker pool fills a
-    whole batch's arrays while the caller works on the batch before it,
-    drawing from ``rng`` in the order ``rng.normal`` would, so values and
-    final generator state are the serial route's.  ``take`` hands one
-    batch's arrays to the caller and submits the next batch, so exactly one
-    batch is held ahead; ``normal`` serves consecutive row slices of them.
-    The calling thread allocates each array; the worker only reuses one
-    scratch chunk.
+    ``normal(loc, scale, size)`` fills the ``per_image`` rows of image
+    ``first + i`` from ``default_rng([root, conv, first + i])`` as one
+    ``Generator.normal`` call would, whatever block, batch or thread draws
+    it, and returns the transposed view of a (cols, rows) buffer, which
+    ``forward_batch``'s transposed add reads contiguously.
     """
 
-    _CHUNK = 1 << 16  # draws per scratch fill
-
-    def __init__(self, rng: np.random.Generator, plan: list[list[tuple]]):
-        self._rng = rng
-        self._plan = iter(plan)
-        self._scratch = np.empty(max([self._CHUNK] + [
-            cols for batch in plan for _, _, (_, cols) in batch]))
-        self._pool = ThreadPoolExecutor(max_workers=1,
-                                        thread_name_prefix="ipcnn-noise")
-        self._taken = deque()
-        self._ahead = self._submit()
-
-    def _submit(self):
-        batch = next(self._plan, None)
-        if batch is None:
-            return None
-        bufs = [np.empty((cols, rows)) for _, _, (rows, cols) in batch]
-        return batch, bufs, self._pool.submit(self._fill_batch, batch, bufs)
-
-    def _fill_batch(self, batch: list[tuple], bufs: list[np.ndarray]) -> None:
-        # rows of draws land as columns of each buf, so the caller's
-        # transposed add reads it contiguously; loc + scale * z as
-        # Generator.normal
-        for (loc, scale, _), buf in zip(batch, bufs):
-            cols, rows = buf.shape
-            step = max(1, self._CHUNK // cols)
-            for r0 in range(0, rows, step):
-                m = min(step, rows - r0)
-                z = self._scratch[:m * cols].reshape(m, cols)
-                self._rng.standard_normal(out=z)
-                dst = buf[:, r0:r0 + m]
-                np.multiply(z.T, scale, out=dst)
-                dst += loc
-
-    def take(self) -> None:
-        """Hand over the next batch's filled arrays; start the one after.
-
-        Called as a batch starts, so the next batch's draws overlap all of
-        this batch's work.  Raises if rows of the batch before are unused.
-        """
-        if self._taken:
-            raise RuntimeError(
-                f"noise request {self._taken[0][0]} is not fully used")
-        batch, bufs, future = self._ahead
-        future.result()
-        self._taken.extend([request, buf.T, 0]
-                           for request, buf in zip(batch, bufs))
-        self._ahead = self._submit()
+    def __init__(self, root: int, conv: int, first: int, per_image: int):
+        self._key, self._first, self._per_image = (root, conv), first, per_image
 
     def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        """The next ``size[0]`` rows of the taken batch's current array,
-        which ``Generator.normal(loc, scale, size)`` would have drawn in
-        the serial route; raises unless they continue the planned request.
-        """
-        if not self._taken:
-            raise RuntimeError(
-                f"noise request {(loc, scale, size)} is not the planned "
-                "next one: no batch is taken")
-        entry = self._taken[0]
-        request, noise, used = entry
-        planned_loc, planned_scale, (planned_rows, cols) = request
-        rows = size[0]
-        if ((loc, scale, size[1:]) != (planned_loc, planned_scale, (cols,))
-                or used + rows > planned_rows):
-            raise RuntimeError(
-                f"noise request {(loc, scale, size)} is not the planned "
-                f"next one: {used} rows used of {request}")
-        entry[2] = used + rows
-        if entry[2] == planned_rows:
-            self._taken.popleft()
-        return noise[used:used + rows]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def close(self) -> None:
-        """Cancel the batch held ahead if it has not started; join."""
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        rows, cols = size
+        buf, z = np.empty((cols, rows)), np.empty((self._per_image, cols))
+        for i, r0 in enumerate(range(0, rows, self._per_image)):
+            rng = np.random.default_rng([*self._key, self._first + i])
+            rng.standard_normal(out=z)
+            np.multiply(z.T, scale, out=buf[:, r0:r0 + self._per_image])
+        if loc:
+            buf += loc
+        return buf.T
 
 
 def hybrid_forward(
@@ -214,51 +135,44 @@ def hybrid_forward(
 ) -> np.ndarray:
     """Logits of the hybrid network over a batch of (N, 28, 28) images.
 
-    An empty batch gives an empty (0, n_classes) array.
+    ``setups`` holds one setup per conv layer of ``model``.  An empty batch
+    gives an empty (0, n_classes) array.  Each batch of ``batch_size``
+    images is walked stage by stage: a conv with its bias, ReLU and pooling
+    runs over blocks of ``INFER_BLOCK`` images before the next conv starts;
+    ``Flatten`` and the dense layers then run over the whole batch.
 
-    Each batch of ``batch_size`` images is walked stage by stage: a conv
-    with its bias, ReLU and pooling runs over blocks of ``INFER_BLOCK``
-    images, in order, before the next conv starts.  ``Flatten`` and the
-    dense layers then run over the whole batch, so the logits keep the
-    bits of a whole-batch pass.
-
-    With noisy setups, the noise is drawn one batch ahead on one helper
-    thread: as a batch starts, it takes every noisy conv's filled array for
-    that batch, and the helper starts drawing the next batch's.  Each block
-    uses the next rows of its conv's array.  The draws come from
-    ``noise_rng`` in the serial order, so the logits and ``noise_rng``'s
-    final state are those of a whole-batch walk that passes ``noise_rng``
-    to every ``forward_batch``.  Nothing else may draw from ``noise_rng``
-    during the call.  When the call raises, the helper has been joined, but
-    ``noise_rng`` may be up to one batch further on than the serial route
-    would have left it.
+    Noise is a function of (seed, conv, image): one root integer is drawn
+    from ``noise_rng``, and image ``n`` of ``images`` takes conv ``k``'s
+    noise from ``default_rng([root, k, n])``.  So an image's logits do not
+    depend on ``batch_size`` (beyond the rounding of GEMMs of another
+    size), on the images after it, or on the thread that ran its batch.
+    A noisy call runs the odd-numbered batches on one helper thread, joined
+    before it returns or raises; a noiseless or one-batch call starts none.
     """
     check_batch_size(batch_size)
-    stds = [output_noise_std(setup.programming, setup.spec, setup.faults)
-            for _, setup in zip(model.conv_layers, setups)]
-    starts = range(0, len(images), batch_size)
-    plan = [
-        [(0.0, std, (min(batch_size, len(images) - start)
-                     * setup.spec.valid_width ** 2, setup.spec.c_out))
-         for setup, std in zip(setups, stds) if std > 0]
-        for start in starts
-    ] if any(std > 0 for std in stds) else []
+    if len(setups) != len(model.conv_layers):
+        raise DimensionError(f"{len(setups)} setups for "
+                             f"{len(model.conv_layers)} conv layers")
+    root = int(noise_rng.integers(2 ** 63))
     stages, head = _conv_stages(model)
-    logits = []
-    ahead = _NoiseAhead(noise_rng, plan) if plan else nullcontext(noise_rng)
-    with ahead as rng:
-        for start in starts:
-            if plan:
-                rng.take()
+    logits = np.empty((len(images), model.layers[-1].w.shape[1]))
+
+    def run(batch_starts):
+        for start in batch_starts:
             x = images[start:start + batch_size][:, None, :, :]
-            for setup, layers in zip(setups, stages):
-                x = _blocked_stage(x, setup, layers, rng)
+            for conv, (setup, layers) in enumerate(zip(setups, stages)):
+                x = _blocked_stage(x, setup, layers, root, conv, start)
             for layer in head:
                 x = layer.forward(x)
-            logits.append(x)
-    if not logits:
-        return np.zeros((0, model.layers[-1].w.shape[1]))
-    return np.concatenate(logits)
+            logits[start:start + len(x)] = x
+
+    starts = range(0, len(images), batch_size)
+    if any(output_noise_std(s.programming, s.spec, s.faults) > 0
+           for s in setups):
+        run_on_two_threads(run, starts, "ipcnn-hybrid")
+    else:
+        run(starts)
+    return logits
 
 
 def _conv_stages(model: NetworkModel):
@@ -274,14 +188,18 @@ def _conv_stages(model: NetworkModel):
     return stages, head
 
 
-def _blocked_stage(x, setup: PhotonicLayerSetup, layers, rng) -> np.ndarray:
+def _blocked_stage(x, setup: PhotonicLayerSetup, layers, root, conv,
+                   first) -> np.ndarray:
     """One analog conv, its bias and ``layers`` over ``x`` in blocks of
-    ``INFER_BLOCK`` images, gathered into one channel-major batch."""
+    ``INFER_BLOCK`` images, gathered into one channel-major batch; ``x[0]``
+    is image ``first`` of the call, whose noise ``root`` and ``conv`` key."""
     out = None
     for start in range(0, len(x), INFER_BLOCK):
         y = forward_batch(
             pad_hw(x[start:start + INFER_BLOCK], setup.pad),
-            setup.programming, setup.spec, setup.faults, rng=rng,
+            setup.programming, setup.spec, setup.faults,
+            rng=_KeyedNoise(root, conv, first + start,
+                            setup.spec.valid_width ** 2),
         )
         y += setup.bias[None, :, None, None]
         for layer in layers:

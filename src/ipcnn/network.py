@@ -40,6 +40,24 @@ def check_batch_size(batch_size) -> None:
         raise InvalidSpecError(f"batch size must be >= 1, got {batch_size}")
 
 
+def run_on_two_threads(run, starts, name: str) -> None:
+    """``run(starts[1::2])`` on one helper thread while the calling thread
+    runs ``run(starts[0::2])``; fewer than two starts start no thread.
+
+    The helper is joined before this returns or raises; an error of either
+    thread is raised.
+    """
+    if len(starts) < 2:
+        run(starts)
+        return
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix=name) as pool:
+        helper = pool.submit(run, starts[1::2])
+        try:
+            run(starts[0::2])
+        finally:
+            helper.result()
+
+
 @dataclass
 class Hyperparams:
     epochs: int = 5
@@ -122,14 +140,7 @@ class NetworkModel:
                 preds[i:i + batch_size] = self.forward(
                     x[i:i + batch_size]).argmax(axis=1)
 
-        if len(starts) < 2:
-            run(starts)
-            return preds
-        with ThreadPoolExecutor(max_workers=1,
-                                thread_name_prefix="ipcnn-predict") as pool:
-            helper = pool.submit(run, starts[1::2])
-            run(starts[0::2])
-            helper.result()
+        run_on_two_threads(run, starts, "ipcnn-predict")
         return preds
 
     def accuracy(self, x: np.ndarray, labels: np.ndarray,

@@ -132,6 +132,13 @@ class TestNoise:
         assert faults.noise_sigma(SPEC) == pytest.approx(0.1, rel=1e-12)
         assert AnalogFaultModel().noise_sigma(SPEC) == 0.0
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, 3080.0])
+    def test_bad_level_rejected(self, level):
+        # NaN used to act as noise off, +inf to fail later as an encoding
+        # error, and 10**(3080/10) overflows a float
+        with pytest.raises(InvalidSpecError, match="noise level"):
+            AnalogFaultModel(neop_dbc=level)
+
     def test_output_noise_moments(self):
         # zero input: the output is the summed noise of Q branches of
         # variance 0.01 each, scaled by the digital rescale
@@ -237,6 +244,11 @@ class TestImbalance:
     def test_negative_level_rejected(self):
         with pytest.raises(InvalidSpecError):
             sample_imbalance(SPEC, -1.0, seed=0)
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, level):
+        with pytest.raises(InvalidSpecError, match="imbalance level"):
+            sample_imbalance(SPEC, level, seed=0)
 
     def test_single_path_rejected(self):
         spec = ConvLayerSpec(1, 1, 1, 4)

@@ -2,18 +2,16 @@ import dataclasses
 import hashlib
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from ipcnn.analog import forward_batch
+from ipcnn.analog import forward_batch, output_noise_std
 from ipcnn.conv_math import ConvLayerSpec
 from ipcnn import hybrid
 from ipcnn.errors import DimensionError, EncodingError, InvalidSpecError
 from ipcnn.hybrid import (
-    _NoiseAhead,
     build_photonic_setups,
     hybrid_forward,
     infer_hybrid,
@@ -30,22 +28,45 @@ def model():
 
 
 def serial_forward(model, images, setups, rng, batch_size=128):
-    """Reference route: every conv draws its noise from ``rng`` itself."""
+    """Reference route: whole batches, no blocks, no threads.
+
+    Each conv runs noiseless over the whole batch, and then gets image
+    ``n``'s noise added from its own ``Generator.normal`` call on
+    ``default_rng([root, conv, n])``, drawn as (V*V, C_O) and mapped to
+    output (channel, pixel) as ``forward_batch`` maps its draw.  ``root``
+    is the first integer drawn from ``rng``.
+    """
+    root = int(rng.integers(2 ** 63))
     logits = []
     for start in range(0, len(images), batch_size):
         x = images[start:start + batch_size][:, None, :, :]
-        conv_idx = 0
+        conv = 0
         for layer in model.layers:
-            if isinstance(layer, Conv2D):
-                setup = setups[conv_idx]
-                x = forward_batch(pad_hw(x, setup.pad), setup.programming,
-                                  setup.spec, setup.faults, rng=rng)
-                x += setup.bias[None, :, None, None]
-                conv_idx += 1
-            else:
+            if not isinstance(layer, Conv2D):
                 x = layer.forward(x)
+                continue
+            setup = setups[conv]
+            quiet = dataclasses.replace(setup.faults, neop_dbc=-np.inf)
+            x = forward_batch(pad_hw(x, setup.pad), setup.programming,
+                              setup.spec, quiet)
+            std = output_noise_std(setup.programming, setup.spec,
+                                   setup.faults)
+            if std > 0:
+                v, c_out = setup.spec.valid_width, setup.spec.c_out
+                noise = np.stack([
+                    np.random.default_rng([root, conv, start + i]).normal(
+                        0.0, std, size=(v * v, c_out))
+                    for i in range(len(x))])
+                x = x + noise.reshape(len(x), v, v, c_out).transpose(
+                    0, 3, 1, 2)
+            x += setup.bias[None, :, None, None]
+            conv += 1
         logits.append(x)
     return np.concatenate(logits) if logits else np.zeros((0, 10))
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +97,17 @@ class TestSetupGeometry:
         for g in (g0, g1):
             ratio = 10 * np.log10(g.max() / g.min())
             assert ratio == pytest.approx(6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("faults", [
+        {"neop_dbc": np.nan}, {"neop_dbc": np.inf}, {"neop_dbc": 5000.0},
+        {"imbalance_db": np.nan, "calibration": True},
+        {"imbalance_db": np.inf}, {"imbalance_db": -1.0},
+    ], ids=["neop-nan", "neop-inf", "neop-overflow", "imbalance-nan",
+            "imbalance-inf", "imbalance-negative"])
+    def test_bad_fault_level_rejected(self, model, faults):
+        # each of these used to give the ideal hardware or fail later
+        with pytest.raises(InvalidSpecError, match="level"):
+            build_photonic_setups(model, **faults)
 
     def test_ideal_setup_has_no_faults(self, model):
         setups = build_photonic_setups(model)
@@ -113,8 +145,9 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
     def test_noisy_logits_bytes_pinned(self):
-        # recorded from the NCHW-layout code: both the noise order and the
-        # GEMM sums are in these bytes (OpenBLAS 0.3.31, AVX-512 x86-64)
+        # re-recorded when noise became keyed per (seed, conv, image): both
+        # the noise stream and the GEMM sums are in these bytes (OpenBLAS
+        # 0.3.31, AVX-512 x86-64)
         model = NetworkModel(seed=4)
         images = np.random.default_rng(5).random((16, 28, 28))
         setups = build_photonic_setups(model, neop_dbc=-10.0, seed=6)
@@ -122,7 +155,7 @@ class TestDeterminism:
                                 np.random.default_rng(7))
         assert logits.dtype == np.float64 and logits.shape == (16, 10)
         assert hashlib.sha256(logits.tobytes()).hexdigest() == (
-            "233886428527f2a4521f6ec989a0644ff92eeabc87ac6de01f05f2a8014e3789"
+            "53621e981058d116b2a33ec239e7638a465a47d4bff7afb6d9fb3533c78295fd"
         ), ("pinned on OpenBLAS 0.3.31, AVX-512 x86-64: on another BLAS "
             "build or CPU a mismatch may be the environment, not the code")
 
@@ -214,7 +247,10 @@ def _conv2_only_noisy(model):
 
 
 class TestNoiseAhead:
-    """The look-ahead draws the serial route's noise, byte for byte."""
+    """Noise is a function of (seed, conv, image): ``hybrid_forward`` matches
+    a whole-batch reference route, whatever its batch size, subset or
+    thread timing, and its helper thread is joined and used only when
+    there is noise to draw and more than one batch."""
 
     @pytest.mark.parametrize("n_images, batch_size, make_setups", [
         (37, 16, lambda m: build_photonic_setups(m, neop_dbc=-10.0, seed=1)),
@@ -240,54 +276,124 @@ class TestNoiseAhead:
                                   make_setups):
         images = np.random.default_rng(9).random((n_images, 28, 28))
         setups = make_setups(model)
-        ahead_rng = np.random.default_rng(11)
-        serial_rng = np.random.default_rng(11)
-        logits = hybrid_forward(model, images, setups, ahead_rng,
+        logits = hybrid_forward(model, images, setups,
+                                np.random.default_rng(11),
                                 batch_size=batch_size)
-        reference = serial_forward(model, images, setups, serial_rng,
+        reference = serial_forward(model, images, setups,
+                                   np.random.default_rng(11),
                                    batch_size=batch_size)
         assert logits.shape == reference.shape == (n_images, 10)
-        assert logits.tobytes() == reference.tobytes()
-        assert (ahead_rng.bit_generator.state
-                == serial_rng.bit_generator.state)
+        if n_images:
+            # the reference's whole-batch GEMMs round like another batch
+            assert max_rel(logits, reference) < 1e-12
+        again = hybrid_forward(model, images, setups,
+                               np.random.default_rng(11),
+                               batch_size=batch_size)
+        assert again.tobytes() == logits.tobytes()
+
+    def test_independent_of_batch_size(self, model):
+        images = np.random.default_rng(9).random((130, 28, 28))
+        setups = build_photonic_setups(model, neop_dbc=-10.0, seed=3)
+        logits = {b: hybrid_forward(model, images, setups,
+                                    np.random.default_rng(12), batch_size=b)
+                  for b in (1, 8, 50, 77, 128)}
+        for b, other in logits.items():
+            assert max_rel(other, logits[128]) < 1e-12, b
+        # batch size moves only GEMM rounding, far below the noise
+        assert np.max(np.abs(logits[8] - logits[128])) < 1e-9
+
+    def test_subset_matches_full_set(self, model):
+        images = np.random.default_rng(9).random((100, 28, 28))
+        setups = build_photonic_setups(model, neop_dbc=-10.0, seed=3)
+        full = hybrid_forward(model, images, setups,
+                              np.random.default_rng(13), batch_size=32)
+        subset = hybrid_forward(model, images[:40], setups,
+                                np.random.default_rng(13), batch_size=32)
+        assert subset.tobytes() == full[:40].tobytes()
+
+    def test_image_noise_comes_from_its_key(self):
+        # zero input: image n's conv output is default_rng([root, conv, n])'s
+        # draw, pixel-major, one column per output channel
+        model = NetworkModel(seed=1)
+        setup = build_photonic_setups(model, neop_dbc=-10.0)[1]
+        x = np.zeros((5, 32, 16, 16))
+        out = forward_batch(x, setup.programming, setup.spec, setup.faults,
+                            rng=hybrid._KeyedNoise(7, 1, 40, 14 * 14))
+        std = output_noise_std(setup.programming, setup.spec, setup.faults)
+        for i in range(5):
+            draw = np.random.default_rng([7, 1, 40 + i]).normal(
+                0.0, std, size=(14 * 14, 32))
+            np.testing.assert_array_equal(
+                out[i], draw.T.reshape(32, 14, 14))
+
+    def test_conv1_noise_moments_per_channel(self, model):
+        # zero input to conv1: each output channel's noise has mean 0 and
+        # variance Q * sigma^2 * rescale^2 (ROADMAP aim 3); 25,088 samples
+        # per channel put 5 % at about 5.6 standard errors of the variance
+        setup = build_photonic_setups(model, neop_dbc=-10.0)[0]
+        spec = setup.spec
+        x = np.zeros((32, 1, spec.image_width, spec.image_width))
+        out = forward_batch(x, setup.programming, spec, setup.faults,
+                            rng=hybrid._KeyedNoise(
+                                2024, 0, 0, spec.valid_width ** 2))
+        expected = (spec.q * setup.faults.noise_sigma(spec) ** 2
+                    * setup.programming.rescale ** 2)
+        per_channel = out.transpose(1, 0, 2, 3).reshape(spec.c_out, -1)
+        assert per_channel.shape == (32, 32 * 28 * 28)
+        n = per_channel.shape[1]
+        assert np.all(np.abs(per_channel.mean(axis=1))
+                      < 5 * np.sqrt(expected / n))
+        np.testing.assert_allclose(per_channel.var(axis=1) / expected, 1.0,
+                                   atol=0.05)
+        # images draw independent noise: neighbours are uncorrelated
+        corr = np.corrcoef(out[0].ravel(), out[1].ravel())[0, 1]
+        assert abs(corr) < 5 / np.sqrt(out[0].size)
 
     def test_concurrent_calls_under_fast_switching(self, model):
         # four callers, each with its own helper, on a 2-core host; a
         # short switch interval interleaves the threads as often as it can
         images = np.random.default_rng(9).random((24, 28, 28))
         setups = build_photonic_setups(model, neop_dbc=-10.0)
-        serial = [serial_forward(model, images, setups,
-                                 np.random.default_rng(seed), batch_size=8)
-                  for seed in range(4)]
+        alone = [hybrid_forward(model, images, setups,
+                                np.random.default_rng(seed), batch_size=8)
+                 for seed in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                ahead = list(pool.map(
+                together = list(pool.map(
                     lambda seed: hybrid_forward(
                         model, images, setups, np.random.default_rng(seed),
                         batch_size=8),
                     range(4), timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        for logits, reference in zip(ahead, serial, strict=True):
+        for logits, reference in zip(together, alone, strict=True):
             assert logits.tobytes() == reference.tobytes()
 
     def test_error_mid_call_joins_helper(self, model):
-        images = np.random.default_rng(9).random((20, 28, 28))
-        images[10, 3, 3] = np.nan           # second batch of 8
+        # image 10 is in the helper's batch (the second of 8), image 3 in
+        # the caller's
         setups = build_photonic_setups(model, neop_dbc=-10.0)
         before = threading.active_count()
-        with pytest.raises(EncodingError, match="non-finite"):
-            hybrid_forward(model, images, setups, np.random.default_rng(0),
-                           batch_size=8)
-        assert threading.active_count() == before
+        for bad_image in (10, 3):
+            images = np.random.default_rng(9).random((20, 28, 28))
+            images[bad_image, 3, 3] = np.nan
+            with pytest.raises(EncodingError, match="non-finite"):
+                hybrid_forward(model, images, setups,
+                               np.random.default_rng(0), batch_size=8)
+            assert threading.active_count() == before
 
-    def test_noiseless_call_starts_no_thread(self, model, monkeypatch):
+    @staticmethod
+    def _started_threads(monkeypatch):
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda t: (started.append(t.name), start(t)))
+        return started
+
+    def test_noiseless_call_starts_no_thread(self, model, monkeypatch):
+        started = self._started_threads(monkeypatch)
         images = np.random.default_rng(9).random((20, 28, 28))
         setups = build_photonic_setups(model, imbalance_db=6.0,
                                        calibration=True)
@@ -295,68 +401,24 @@ class TestNoiseAhead:
                        batch_size=8)
         assert started == []
 
-    def test_no_draw_in_flight_during_a_conv(self, model, monkeypatch):
-        # a one-batch call draws all its noise before its first conv and
-        # leaves the helper idle after; a memory probe that starts and
-        # stops tracemalloc around each forward_batch relies on that
-        convs = []
-        original = hybrid.forward_batch
-
-        def timed(*args, **kwargs):
-            start = time.perf_counter()
-            out = original(*args, **kwargs)
-            convs.append((start, time.perf_counter()))
-            return out
-
-        monkeypatch.setattr(hybrid, "forward_batch", timed)
-        rng = _TimedDraws(np.random.default_rng(0))
+    def test_one_batch_call_starts_no_thread(self, model, monkeypatch):
+        # a memory probe that starts and stops tracemalloc around each
+        # forward_batch of a one-batch call relies on no other thread
+        started = self._started_threads(monkeypatch)
         images = np.random.default_rng(9).random((100, 28, 28))
+        setups = build_photonic_setups(model, neop_dbc=-10.0)
+        for batch_size in (100, 128):
+            hybrid_forward(model, images, setups, np.random.default_rng(0),
+                           batch_size=batch_size)
+        assert started == []
+
+    def test_noisy_batches_share_one_helper(self, model, monkeypatch):
+        started = self._started_threads(monkeypatch)
+        images = np.random.default_rng(9).random((40, 28, 28))
         hybrid_forward(model, images,
-                       build_photonic_setups(model, neop_dbc=-10.0), rng,
-                       batch_size=len(images))
-        assert len(convs) == 8 and rng.draws
-        assert max(end for _, end in rng.draws) <= min(
-            start for start, _ in convs)
-
-    def test_request_off_plan_raises(self):
-        plan = [[(0.0, 1.0, (4, 2)), (0.0, 3.0, (2, 2))]] * 2
-        with _NoiseAhead(np.random.default_rng(0), plan) as ahead:
-            with pytest.raises(RuntimeError, match="not the planned"):
-                ahead.normal(0.0, 1.0, size=(4, 2))    # nothing taken yet
-            ahead.take()
-            with pytest.raises(RuntimeError, match="not the planned"):
-                ahead.normal(0.0, 2.0, size=(4, 2))    # wrong scale
-            with pytest.raises(RuntimeError, match="not the planned"):
-                ahead.normal(0.0, 1.0, size=(4, 3))    # wrong column count
-            head = ahead.normal(0.0, 1.0, size=(3, 2))
-            with pytest.raises(RuntimeError, match="not the planned"):
-                ahead.normal(0.0, 1.0, size=(2, 2))    # past the conv's rows
-            tail = ahead.normal(0.0, 1.0, size=(1, 2))
-            with pytest.raises(RuntimeError, match="not fully used"):
-                ahead.take()                           # second conv unused
-            second = ahead.normal(0.0, 3.0, size=(2, 2))
-            with pytest.raises(RuntimeError, match="not the planned"):
-                ahead.normal(0.0, 3.0, size=(1, 2))    # past the batch's rows
-        serial = np.random.default_rng(0)
-        np.testing.assert_array_equal(
-            np.concatenate([head, tail]), serial.normal(0.0, 1.0, size=(4, 2)))
-        np.testing.assert_array_equal(
-            second, serial.normal(0.0, 3.0, size=(2, 2)))
-
-
-class _TimedDraws:
-    """A generator whose ``standard_normal`` calls record their spans."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.draws = []
-
-    def standard_normal(self, *args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return self._rng.standard_normal(*args, **kwargs)
-        finally:
-            self.draws.append((start, time.perf_counter()))
+                       build_photonic_setups(model, neop_dbc=-10.0),
+                       np.random.default_rng(0), batch_size=8)
+        assert len(started) == 1 and started[0].startswith("ipcnn-hybrid")
 
 
 class TestBlockedPredict:
@@ -433,6 +495,14 @@ class TestBadCounts:
     def test_accuracy_label_count(self, model):
         with pytest.raises(DimensionError, match="labels"):
             model.accuracy(np.zeros((6, 1, 28, 28)), np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("n_setups", [1, 3])
+    def test_setup_count(self, model, n_setups):
+        # a third setup used to be ignored, a missing one to fail in Dense
+        setups = build_photonic_setups(model, neop_dbc=-10.0) * 2
+        with pytest.raises(DimensionError, match="setups for 2 conv"):
+            hybrid_forward(model, np.zeros((4, 28, 28)), setups[:n_setups],
+                           np.random.default_rng(0))
 
     def test_sweep_imbalance_trials(self, model, samples):
         images, labels = samples
