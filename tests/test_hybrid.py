@@ -299,8 +299,6 @@ class TestNoiseAhead:
                   for b in (1, 8, 50, 77, 128)}
         for b, other in logits.items():
             assert max_rel(other, logits[128]) < 1e-12, b
-        # batch size moves only GEMM rounding, far below the noise
-        assert np.max(np.abs(logits[8] - logits[128])) < 1e-9
 
     def test_subset_matches_full_set(self, model):
         images = np.random.default_rng(9).random((100, 28, 28))
