@@ -48,6 +48,12 @@ from .layers import im2col, rows_to_batch
 # representable real kernel magnitude.
 _ZERO_KERNEL_EPS = 1e-30
 
+# Highest imbalance level, in dB.  Path gains span 10**(+-level/20), and the
+# network's two convs in cascade scale activations by up to 10**(level/10):
+# 10**100 here, far from float64's 1.8e308.  At 5000 dB the conv GEMM
+# overflows and the logits turn NaN.
+MAX_IMBALANCE_DB = 1000.0
+
 
 @dataclass(frozen=True)
 class WeightProgramming:
@@ -186,9 +192,10 @@ def sample_imbalance(
     Gains are drawn log-uniform, then affinely stretched in the log domain
     to hit the requested spread exactly, centered on 0 dB.
     """
-    if not 0 <= level_db < np.inf:
+    if not 0 <= level_db <= MAX_IMBALANCE_DB:
         raise InvalidSpecError(
-            f"imbalance level must be finite and >= 0 dB, got {level_db}")
+            f"imbalance level must be in [0, {MAX_IMBALANCE_DB:g}] dB, "
+            f"got {level_db}")
     shape = (spec.c_in, spec.q, spec.c_out)
     if level_db == 0:
         return np.ones(shape)

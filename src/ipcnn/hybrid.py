@@ -84,7 +84,8 @@ def build_photonic_setups(
                              sigma=layer.kernel,
                              image_width=width + 2 * layer.pad)
         imbalance_seed, probe_seed = ss.spawn(2)
-        # a negative or non-finite level reaches sample_imbalance and raises
+        # a level outside [0, MAX_IMBALANCE_DB] reaches sample_imbalance and
+        # raises
         gains = (sample_imbalance(spec, imbalance_db, imbalance_seed)
                  if imbalance_db != 0 else None)
         faults = AnalogFaultModel(neop_dbc=neop_dbc, path_gains=gains, seed=seed)

@@ -23,11 +23,19 @@ lowers only the patches that land on the unpadded input, and the first
 layer skips it (``input_grad=False``).  Max pooling works on four stride-2
 slices.  Tests hold each route bit-equal to the textbook one (tile
 ``argmax`` pooling, a (k-1)-padded full correlation cropped afterwards).
+
+A training batch may run through the conv layers in parts, each part on
+its own thread and layer objects (``Layer.twin`` shares the parameters).
+The parts of a conv write into one ``ConvBatch``, whose full-batch arrays
+give the weight and bias gradients as one reduction over the whole batch,
+so the split never changes their bits.  A conv trained without a part is
+a one-part batch of its own.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,6 +59,17 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def twin(self) -> Layer:
+        """A new layer of this kind that shares this one's parameter and
+        gradient arrays but keeps training state of its own, to run another
+        part of a batch on another thread.
+
+        The twin is built, not copied: a copy would also take what was set
+        on this instance, such as a wrapper around its bound ``forward``.
+        This default suits a layer whose constructor takes no arguments.
+        """
+        return type(self)()
+
 
 def pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     """Zero-pad the H and W axes of a (B, C, H, W) batch by ``p`` each side.
@@ -66,7 +85,7 @@ def pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     return out.transpose(1, 0, 2, 3)
 
 
-def im2col(x: np.ndarray, kernel: int):
+def im2col(x: np.ndarray, kernel: int, out: np.ndarray | None = None):
     """Stride-1, pad-free patch matrix of a (B, C, H, W) batch.
 
     Returns ``(cols, (B, H', W'))`` with ``cols`` of shape
@@ -82,14 +101,23 @@ def im2col(x: np.ndarray, kernel: int):
     channel-major batch.  ``cols.T`` is therefore C-contiguous, and
     ``weights @ cols.T`` is a (C_O, B*H'*W') result already channel-major;
     ``rows_to_batch`` views it as (B, C_O, H', W').
+
+    With ``out``, a (C*k*k, B*H'*W') array whose rows have unit stride
+    (a column slice of a wider one, say), the rows are written there and
+    ``out.T`` is returned.
     """
     windows = sliding_window_view(x.transpose(1, 0, 2, 3), (kernel, kernel),
                                   axis=(2, 3))
     c, b, h, w, _, _ = windows.shape
-    rows = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * kernel * kernel,
-                                                       b * h * w)
-    # a reshape that needs no copy (a 1x1 kernel, say) leaves a strided view
-    return np.ascontiguousarray(rows).T, (b, h, w)
+    taps = windows.transpose(0, 4, 5, 1, 2, 3)
+    if out is None:
+        # a reshape that needs no copy (a 1x1 kernel, say) leaves a strided
+        # view
+        out = np.ascontiguousarray(taps.reshape(c * kernel * kernel,
+                                                b * h * w))
+    else:
+        np.copyto(np.reshape(out, taps.shape, copy=False), taps)
+    return out.T, (b, h, w)
 
 
 def rows_to_batch(rows: np.ndarray, dims) -> np.ndarray:
@@ -111,30 +139,51 @@ class Conv2D(Layer):
         self.b = np.zeros(c_out)
         self.params = [self.w, self.b]
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
-        self._windows = None
+        # the full-batch arrays of training steps, kept by ConvBatch
+        self.batch_arrays = None
+        self._part = None
 
-    def forward(self, x, train=False):
+    def twin(self) -> Conv2D:
+        twin = object.__new__(Conv2D)
+        twin.c_in, twin.c_out = self.c_in, self.c_out
+        twin.kernel, twin.pad = self.kernel, self.pad
+        twin.w, twin.b = self.w, self.b
+        twin.params, twin.grads = self.params, self.grads
+        twin.batch_arrays = twin._part = None
+        return twin
+
+    def forward(self, x, train=False, part=None):
+        """Output (B, C_O, H', W'), channel-major in memory.
+
+        In training, ``part`` = (batch, first) says that ``x`` holds images
+        first, first + 1, ... of the ``ConvBatch`` ``batch``, whose
+        ``reduce`` fills the parameter gradients once every part has run
+        ``backward``.  Without it ``x`` is a batch of its own, and
+        ``backward`` fills them.
+        """
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise DimensionError(
                 f"conv input shape {x.shape} incompatible with c_in={self.c_in}"
             )
-        cols, (b, h, w) = im2col(pad_hw(x, self.pad), self.kernel)
+        x = pad_hw(x, self.pad)
         if train:
-            self._windows = cols, (b, h, w)
+            batch, first = part or (ConvBatch(len(x), self), 0)
+            cols, dims = batch.lower(x, first)
+            self._part = batch, first, part is None
+        else:
+            cols, dims = im2col(x, self.kernel)
         out = self.w.reshape(self.c_out, -1) @ cols.T
         out += self.b[:, None]
-        return rows_to_batch(out, (b, h, w))
+        return rows_to_batch(out, dims)
 
     def backward(self, grad, input_grad=True):
-        """Fill ``grads``; return dL/dx, or None if ``input_grad`` is False."""
+        """Return dL/dx, or None if ``input_grad`` is False."""
         k, p = self.kernel, self.pad
-        cols, (b, h, w) = self._windows
-        self._windows = None
-        grad_rows = grad.transpose(1, 0, 2, 3).reshape(self.c_out, b * h * w)
-        self.grads[0][...] = (grad_rows @ cols).reshape(self.w.shape)
-        # numpy's sum follows memory order, so a channel-major grad would be
-        # added in another order than a C-order one and round differently
-        self.grads[1][...] = np.ascontiguousarray(grad).sum(axis=(0, 2, 3))
+        batch, first, alone = self._part
+        self._part = None
+        batch.store_grad(grad, first)
+        if alone:
+            batch.reduce()
         if not input_grad:
             return None
         # dx is the full correlation of grad with the flipped kernel, cropped
@@ -145,11 +194,80 @@ class Conv2D(Layer):
             grad = pad_hw(grad, e)
         elif e < 0:
             grad = grad[:, :, -e:e, -e:e]
-        gcols, (_, bh, bw) = im2col(grad, k)
+        gcols, (b, bh, bw) = im2col(grad, k)
         w_flip = self.w[:, :, ::-1, ::-1]
         # matrix with rows indexed (o, i, j) to match gcols' column order
         w_mat = w_flip.transpose(0, 2, 3, 1).reshape(-1, self.c_in)
         return (gcols @ w_mat).reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
+
+
+class ConvBatch:
+    """A training batch of ``n`` images at one conv layer, whose parts may
+    run apart, on other threads and twin layers.
+
+    Each part writes its images' columns or rows of three full-batch arrays:
+
+    - ``rows``, the (C_I*k*k, n*H'*W') lowering of the padded input;
+    - ``grad_rows``, the output gradient as (C_O, n*H'*W');
+    - ``grad_c``, the same gradient in C order, (n, C_O, H', W').
+
+    ``reduce`` then computes the weight gradient as one GEMM and the bias
+    gradient as one sum over the whole batch, on operands laid out as those
+    of a one-part batch, so how the batch was split never changes their
+    bits.  numpy's sum follows memory order, so the bias sums the C-order
+    copy: a channel-major gradient would be added in another order.
+
+    The arrays are held by ``conv`` and kept for its next batch of the same
+    shape (``network.train`` drops them when it ends): fresh ones would
+    be faulted in anew by every step.  Whichever part comes first makes
+    them for a new shape.
+    """
+
+    def __init__(self, n: int, conv: Conv2D):
+        self.n = n
+        self.conv = conv
+        self._lock = threading.Lock()
+
+    def _arrays(self, h: int, w: int):
+        conv, n = self.conv, self.n
+        shapes = [(conv.c_in * conv.kernel ** 2, n * h * w),
+                  (conv.c_out, n * h * w), (n, conv.c_out, h, w)]
+        with self._lock:
+            kept = conv.batch_arrays
+            if kept is None or [a.shape for a in kept] != shapes:
+                # one allocation, not three: at the network's sizes it is
+                # mapped apart from the heap, where three kept arrays would
+                # split the free space that the passing arrays reuse
+                sizes = [math.prod(shape) for shape in shapes]
+                block = np.empty(sum(sizes))
+                kept = conv.batch_arrays = tuple(
+                    a.reshape(shape) for a, shape in zip(
+                        np.split(block, np.cumsum(sizes)[:-1]), shapes))
+        return kept
+
+    def lower(self, x, first):
+        """``im2col`` of the padded part ``x`` into its columns of ``rows``;
+        returns what ``im2col`` returns."""
+        k = self.conv.kernel
+        b, _, height, width = x.shape
+        h, w = height - k + 1, width - k + 1
+        rows = self._arrays(h, w)[0]
+        return im2col(x, k, out=rows[:, first * h * w:(first + b) * h * w])
+
+    def store_grad(self, grad, first):
+        """Write a part's (B, C_O, H', W') output gradient into its columns
+        of ``grad_rows`` and its rows of ``grad_c``."""
+        b, _, h, w = grad.shape
+        _, grad_rows, grad_c = self.conv.batch_arrays
+        rows_to_batch(grad_rows, (self.n, h, w))[first:first + b] = grad
+        grad_c[first:first + b] = grad
+
+    def reduce(self) -> None:
+        """Fill the layer's weight and bias gradients."""
+        rows, grad_rows, grad_c = self.conv.batch_arrays
+        w_grad, b_grad = self.conv.grads
+        w_grad[...] = (grad_rows @ rows.T).reshape(w_grad.shape)
+        b_grad[...] = grad_c.sum(axis=(0, 2, 3))
 
 
 class ReLU(Layer):

@@ -102,6 +102,12 @@ def load_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         )
     if images.shape[0] == 0:
         raise IdxParseError(f"{images_path}: holds no images")
+    above = np.flatnonzero(labels > 9)
+    if above.size:
+        # a 1-D IDX file has an 8-byte header
+        raise IdxParseError(
+            f"{labels_path}: label {labels[above[0]]} above 9 at byte "
+            f"offset {8 + above[0]}")
     return images.astype(float) / 255.0, labels.astype(np.int64)
 
 

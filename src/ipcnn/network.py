@@ -5,10 +5,16 @@ pad 1) - ReLU - MaxPool2 - Flatten - FC(1568->512) - ReLU - FC(512->10).
 ReLU keeps activations non-negative, which the intensity-encoded photonic
 execution of the conv layers requires.  Training is plain minibatch SGD
 with momentum, fully digital and deterministic given the seed.
+
+A training step runs the conv layers on two halves of the batch, one on a
+helper thread, and the dense layers on the whole batch; its gradients are
+bit-identical to those of one thread (see ``loss_and_backward``).
+Inference runs blocks of images on two threads (see ``predict``).
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import operator
@@ -18,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidSpecError, TrainingError
-from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2, ReLU, cross_entropy_loss
+from .layers import (Conv2D, ConvBatch, Dense, Flatten, Layer, MaxPool2,
+                     ReLU, cross_entropy_loss)
 
 ARCH_VERSION = 1
 
@@ -40,18 +47,25 @@ def check_batch_size(batch_size) -> None:
         raise InvalidSpecError(f"batch size must be >= 1, got {batch_size}")
 
 
+def _reduce(batches) -> None:
+    for batch in batches:
+        batch.reduce()
+
+
 def run_on_two_threads(run, starts, name: str) -> None:
     """``run(starts[1::2])`` on one helper thread while the calling thread
     runs ``run(starts[0::2])``; fewer than two starts start no thread.
 
     The helper is joined before this returns or raises; an error of either
-    thread is raised.
+    thread is raised.  The helper runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` holds on both threads.
     """
     if len(starts) < 2:
         run(starts)
         return
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix=name) as pool:
-        helper = pool.submit(run, starts[1::2])
+        helper = pool.submit(contextvars.copy_context().run, run,
+                             starts[1::2])
         try:
             run(starts[0::2])
         finally:
@@ -111,13 +125,62 @@ class NetworkModel:
         return x
 
     def loss_and_backward(self, x: np.ndarray, labels: np.ndarray) -> float:
-        logits = self.forward(x, train=True)
-        loss, grad = cross_entropy_loss(logits, labels)
-        first, *rest = self.layers
-        for layer in reversed(rest):
+        """Mean loss of a training batch; fills every parameter gradient.
+
+        The conv stage (the layers before ``Flatten``) runs on two parts of
+        the batch: the first ceil(n/2) images on the calling thread, the
+        rest on one helper thread with twin layers that share the
+        parameters.  ``Flatten``, the dense layers and the loss run on the
+        whole batch.  Each conv's parts write into one ``ConvBatch``, whose
+        weight and bias gradients are one reduction over the whole batch
+        after the join; conv2's runs on the helper while the caller does
+        conv1's.  So the gradients are those of a one-part pass, bit for
+        bit.  A one-image batch is one part and starts no thread.
+        """
+        n = len(x)
+        cut = -(-n // 2)
+        parts = [slice(0, cut), slice(cut, n)] if cut < n else [slice(0, n)]
+        flatten = next(i for i, layer in enumerate(self.layers)
+                       if isinstance(layer, Flatten))
+        stage, head = self.layers[:flatten], self.layers[flatten:]
+        stacks = [stage] + [[layer.twin() for layer in stage]
+                            for _ in parts[1:]]
+        batches = [ConvBatch(n, layer) if isinstance(layer, Conv2D)
+                   else None for layer in stage]
+        outs = [None] * len(parts)
+
+        def forward(part_ids):
+            for i in part_ids:
+                y = x[parts[i]]
+                for layer, batch in zip(stacks[i], batches):
+                    conv = {} if batch is None else {
+                        "part": (batch, parts[i].start)}
+                    y = layer.forward(y, train=True, **conv)
+                outs[i] = y
+
+        run_on_two_threads(forward, range(len(parts)), "ipcnn-train")
+        y = np.concatenate(outs)
+        for layer in head:
+            y = layer.forward(y, train=True)
+        loss, grad = cross_entropy_loss(y, labels)
+        for layer in reversed(head):
             grad = layer.backward(grad)
-        # nothing reads the gradient with respect to the input images
-        first.backward(grad, input_grad=False)
+
+        def backward(part_ids):
+            for i in part_ids:
+                g = grad[parts[i]]
+                first, *rest = stacks[i]
+                for layer in reversed(rest):
+                    g = layer.backward(g)
+                # nothing reads the gradient with respect to the input images
+                first.backward(g, input_grad=False)
+
+        run_on_two_threads(backward, range(len(parts)), "ipcnn-train")
+        convs = [batch for batch in batches if batch is not None]
+        if len(parts) > 1:
+            run_on_two_threads(_reduce, convs, "ipcnn-train")
+        else:
+            _reduce(convs)
         return loss
 
     def predict(self, x: np.ndarray,
@@ -168,28 +231,53 @@ def train(
     hyper: Hyperparams,
     log=None,
 ) -> NetworkModel:
-    """Minibatch SGD with momentum; raises TrainingError on divergence."""
+    """Minibatch SGD with momentum; raises TrainingError on divergence.
+
+    Raises DimensionError unless there is one label per image, and
+    InvalidSpecError for an empty training set or a label that is not an
+    integer class index of the model.
+    """
     hyper.validate()
+    if len(train_labels) != len(train_images):
+        raise DimensionError(
+            f"{len(train_labels)} labels for {len(train_images)} images")
+    if len(train_images) == 0:
+        raise InvalidSpecError("the training set holds no images")
+    labels = np.asarray(train_labels)
+    n_classes = model.layers[-1].w.shape[1]
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidSpecError(
+            f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        bad = labels[(labels < 0) | (labels >= n_classes)][0]
+        raise InvalidSpecError(
+            f"labels must be in [0, {n_classes}), got {bad}")
     rng = np.random.default_rng(hyper.seed)
     params = model.parameters()
     grads = model.gradients()
     velocity = [np.zeros_like(p) for p in params]
     n = len(train_images)
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        for batch_idx, start in enumerate(range(0, n, hyper.batch_size)):
-            sel = order[start:start + hyper.batch_size]
-            loss = model.loss_and_backward(train_images[sel], train_labels[sel])
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"loss diverged at epoch {epoch}, batch {batch_idx}"
-                )
-            for p, g, v in zip(params, grads, velocity):
-                v *= hyper.momentum
-                v -= hyper.learning_rate * g
-                p += v
-        if log is not None:
-            log(f"epoch {epoch + 1}/{hyper.epochs}: last batch loss {loss:.4f}")
+    try:
+        for epoch in range(hyper.epochs):
+            order = rng.permutation(n)
+            for batch_idx, start in enumerate(range(0, n, hyper.batch_size)):
+                sel = order[start:start + hyper.batch_size]
+                loss = model.loss_and_backward(train_images[sel], labels[sel])
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"loss diverged at epoch {epoch}, batch {batch_idx}"
+                    )
+                for p, g, v in zip(params, grads, velocity):
+                    v *= hyper.momentum
+                    v -= hyper.learning_rate * g
+                    p += v
+            if log is not None:
+                log(f"epoch {epoch + 1}/{hyper.epochs}: "
+                    f"last batch loss {loss:.4f}")
+    finally:
+        # the full-batch arrays that the conv layers keep between steps
+        for conv in model.conv_layers:
+            conv.batch_arrays = None
     model.metadata.update(
         trained=True,
         epochs=hyper.epochs,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ipcnn.analog import (
     IDEAL,
+    MAX_IMBALANCE_DB,
     AnalogFaultModel,
     apply_calibration,
     calibrate,
@@ -247,6 +248,20 @@ class TestImbalance:
 
     @pytest.mark.parametrize("level", [np.nan, np.inf])
     def test_non_finite_level_rejected(self, level):
+        with pytest.raises(InvalidSpecError, match="imbalance level"):
+            sample_imbalance(SPEC, level, seed=0)
+
+    @pytest.mark.parametrize("level", [
+        np.nextafter(MAX_IMBALANCE_DB, 0), MAX_IMBALANCE_DB])
+    def test_levels_up_to_ceiling_give_finite_gains(self, level):
+        gains = sample_imbalance(SPEC, level, seed=5)
+        assert np.all(np.isfinite(gains)) and gains.min() > 0
+        ratio_db = 10 * np.log10(gains.max() / gains.min())
+        assert ratio_db == pytest.approx(level, rel=1e-12)
+
+    @pytest.mark.parametrize("level", [
+        np.nextafter(MAX_IMBALANCE_DB, np.inf), 5000.0])
+    def test_level_above_ceiling_rejected(self, level):
         with pytest.raises(InvalidSpecError, match="imbalance level"):
             sample_imbalance(SPEC, level, seed=0)
 

@@ -171,6 +171,29 @@ class TestTrainAndInfer:
         assert len(err) == 1 and "t10k-images-idx3-ubyte" in err[0]
 
 
+    def test_label_above_nine_exit_three(self, tmp_path, capsys):
+        images = np.random.default_rng(0).integers(
+            0, 256, size=(2, 28, 28), dtype=np.uint8)
+        for split in ("train", "t10k"):
+            write_idx(tmp_path / f"{split}-images-idx3-ubyte", images)
+            write_idx(tmp_path / f"{split}-labels-idx1-ubyte",
+                      np.array([1, 12], dtype=np.uint8))
+        config = write_config(tmp_path, {"dataset": {
+            "kind": "mnist", "directory": str(tmp_path)}})
+        assert main(["--config", str(config), "--out-dir", str(tmp_path),
+                     "train"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "label 12" in err[0]
+
+    def test_imbalance_above_ceiling_exit_two(self, tmp_path, capsys):
+        save_checkpoint(NetworkModel(seed=0), tmp_path / "model.npz")
+        config = write_config(tmp_path, {"faults": {"imbalance_db": 5000.0}})
+        assert main(["--config", str(config), "--out-dir", str(tmp_path),
+                     "infer"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "imbalance level" in err[0]
+
+
 class TestSweeps:
     def test_sweep_noise(self, workdir):
         directory, config = workdir

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ipcnn.analog import forward_batch, output_noise_std
+from ipcnn.analog import MAX_IMBALANCE_DB, forward_batch, output_noise_std
 from ipcnn.conv_math import ConvLayerSpec
 from ipcnn import hybrid
 from ipcnn.errors import DimensionError, EncodingError, InvalidSpecError
@@ -102,12 +102,26 @@ class TestSetupGeometry:
         {"neop_dbc": np.nan}, {"neop_dbc": np.inf}, {"neop_dbc": 5000.0},
         {"imbalance_db": np.nan, "calibration": True},
         {"imbalance_db": np.inf}, {"imbalance_db": -1.0},
+        {"imbalance_db": 5000.0},
     ], ids=["neop-nan", "neop-inf", "neop-overflow", "imbalance-nan",
-            "imbalance-inf", "imbalance-negative"])
+            "imbalance-inf", "imbalance-negative", "imbalance-overflow"])
     def test_bad_fault_level_rejected(self, model, faults):
         # each of these used to give the ideal hardware or fail later
         with pytest.raises(InvalidSpecError, match="level"):
             build_photonic_setups(model, **faults)
+
+    @pytest.mark.parametrize("calibration", [False, True])
+    @pytest.mark.parametrize("level", [
+        np.nextafter(MAX_IMBALANCE_DB, 0), MAX_IMBALANCE_DB])
+    def test_imbalance_up_to_ceiling_keeps_logits_finite(
+            self, model, samples, level, calibration):
+        images, _ = samples
+        setups = build_photonic_setups(model, imbalance_db=level,
+                                       calibration=calibration, seed=2)
+        with np.errstate(over="raise", invalid="raise"):
+            logits = hybrid_forward(model, images[:8], setups,
+                                    np.random.default_rng(0))
+        assert np.all(np.isfinite(logits))
 
     def test_ideal_setup_has_no_faults(self, model):
         setups = build_photonic_setups(model)

@@ -113,6 +113,13 @@ class TestLoadPair:
         with pytest.raises(IdxParseError, match="holds no images"):
             load_pair(ip, lp)
 
+    def test_label_above_nine_rejected(self, tmp_path, two_images):
+        ip, lp = tmp_path / "i", tmp_path / "l"
+        write_idx(ip, two_images)
+        write_idx(lp, np.array([9, 10], dtype=np.uint8))
+        with pytest.raises(IdxParseError, match="label 10 .* offset 9"):
+            load_pair(ip, lp)
+
     def test_wrong_rank_for_images(self, tmp_path, two_labels):
         ip, lp = tmp_path / "i", tmp_path / "l"
         write_idx(ip, two_labels)  # 1-D where 3-D is expected

@@ -1,16 +1,69 @@
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from ipcnn.errors import DimensionError
-from ipcnn.layers import cross_entropy_loss
+from ipcnn.errors import DimensionError, InvalidSpecError, TrainingError
+from ipcnn.layers import Conv2D, cross_entropy_loss, im2col, pad_hw
 from ipcnn.network import (
     ARCH_VERSION,
+    Hyperparams,
     NetworkModel,
     load_checkpoint,
     save_checkpoint,
+    train,
 )
+
+# batch sizes whose dense GEMMs round differently when split in halves
+# (1, 17, 18 rows), odd and even halves, and the last batch of an epoch
+STEP_BATCH_SIZES = [1, 2, 3, 5, 7, 16, 33, 36, 50, 63, 64, 65, 99, 100]
+
+
+def serial_step(model, x, labels):
+    """Reference step: every layer over the whole batch on one thread.
+
+    Each conv's parameter gradients are computed here, as the one-thread
+    step computed them: one GEMM of the output gradient against the conv's
+    own lowering of the whole batch, and one sum of the C-order gradient.
+    """
+    conv_inputs = {}
+    for layer in model.layers:
+        if isinstance(layer, Conv2D):
+            conv_inputs[layer] = x
+        x = layer.forward(x, train=True)
+    loss, grad = cross_entropy_loss(x, labels)
+    for layer in reversed(model.layers):
+        if isinstance(layer, Conv2D):
+            cols, _ = im2col(pad_hw(conv_inputs[layer], layer.pad),
+                             layer.kernel)
+            grad_rows = grad.transpose(1, 0, 2, 3).reshape(layer.c_out, -1)
+            w_grad = (grad_rows @ cols).reshape(layer.w.shape)
+            b_grad = np.ascontiguousarray(grad).sum(axis=(0, 2, 3))
+        grad = layer.backward(grad)
+        if isinstance(layer, Conv2D):
+            layer.grads[0][...], layer.grads[1][...] = w_grad, b_grad
+    return loss
+
+
+def train_data(n=100, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.random((n, 1, 28, 28)), rng.integers(0, 10, size=n)
+
+
+def started_threads(monkeypatch):
+    """A list that records every Thread started from now on."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
 
 
 class TestArchitecture:
@@ -69,8 +122,10 @@ class TestTrainingStep:
             np.testing.assert_array_equal(g, ref)
 
     def test_step_memory_peak(self):
-        # one 64-image step takes about 75 MiB; lowering conv1's unused
-        # input gradient and copying pool tiles takes it past 170 MiB
+        # a warm 64-image step allocates about 42 MiB on top of the 62 MiB
+        # of full-batch arrays its convs keep between steps (the one-thread
+        # step took about 72 MiB in all); lowering conv1's unused input
+        # gradient and copying pool tiles took the old step past 170 MiB
         x, y = self.batch()
         model = NetworkModel(seed=0)
         model.loss_and_backward(x, y)
@@ -81,6 +136,125 @@ class TestTrainingStep:
         finally:
             tracemalloc.stop()
         assert peak <= 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("batch_size", STEP_BATCH_SIZES)
+    def test_step_matches_serial_step(self, batch_size):
+        x, y = train_data()
+        x, y = x[:batch_size], y[:batch_size]
+        model, ref = NetworkModel(seed=0), NetworkModel(seed=0)
+        assert model.loss_and_backward(x, y) == serial_step(ref, x, y)
+        for g, r in zip(model.gradients(), ref.gradients(), strict=True):
+            np.testing.assert_array_equal(g, r)
+
+    @pytest.mark.parametrize("batch_size", STEP_BATCH_SIZES)
+    def test_trained_bytes_match_serial_step(self, batch_size):
+        x, y = train_data()
+        hyper = Hyperparams(epochs=1, batch_size=batch_size, seed=2)
+        ref = NetworkModel(seed=0)
+        ref.loss_and_backward = lambda xb, yb: serial_step(ref, xb, yb)
+        train(ref, x, y, hyper)
+        model = train(NetworkModel(seed=0), x, y, hyper)
+        assert model.model_hash() == ref.model_hash()
+        assert all(c.batch_arrays is None for c in model.conv_layers)
+
+    def test_one_image_starts_no_thread(self, monkeypatch):
+        x, y = train_data(2)
+        started = started_threads(monkeypatch)
+        NetworkModel(seed=0).loss_and_backward(x[:1], y[:1])
+        assert started == []
+        NetworkModel(seed=0).loss_and_backward(x, y)
+        assert started, "two images run their second half on a helper"
+
+    def test_nan_image_raises_with_helper_joined(self, monkeypatch):
+        x, y = train_data()
+        x[57, 0, 3, 4] = np.nan
+        started = started_threads(monkeypatch)
+        model = NetworkModel(seed=0)
+        with pytest.raises(TrainingError, match="epoch 0"):
+            train(model, x, y, Hyperparams(epochs=1, batch_size=16, seed=0))
+        assert started
+        assert not any(t.is_alive() for t in started)
+        assert all(c.batch_arrays is None for c in model.conv_layers)
+
+    def test_helper_keeps_callers_error_state(self):
+        x, y = train_data(4)
+        x[3, 0, 5, 5] = np.inf  # an image of the helper's half
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+                NetworkModel(seed=0).loss_and_backward(x, y)
+        assert caught == []
+
+    def test_concurrent_trains_match_lone_runs(self):
+        x, y = train_data(40)
+        seeds = range(4)
+
+        def run(seed):
+            model = NetworkModel(seed=seed)
+            train(model, x, y, Hyperparams(epochs=1, batch_size=16,
+                                           seed=seed))
+            return model.model_hash()
+
+        alone = [run(seed) for seed in seeds]
+        together = [None] * len(seeds)
+
+        def worker(i):
+            together[i] = run(seeds[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(seeds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert together == alone
+
+    def test_wrapped_layer_methods_train_the_same(self):
+        # a traced run replaces forward and backward on each layer instance
+        # with a pass-through; the helper's twin layers must not pick the
+        # wrappers up, bound as they are to the caller's layers
+        x, y = train_data(40)
+        hyper = Hyperparams(epochs=1, batch_size=16, seed=1)
+        plain = train(NetworkModel(seed=0), x, y, hyper)
+        wrapped = NetworkModel(seed=0)
+        for layer in wrapped.layers:
+            for name in ("forward", "backward"):
+                method = getattr(layer, name)
+                setattr(layer, name,
+                        lambda *a, _m=method, **k: _m(*a, **k))
+        train(wrapped, x, y, hyper)
+        assert wrapped.model_hash() == plain.model_hash()
+
+
+class TestTrainInputs:
+    @pytest.mark.parametrize("n_labels", [19, 21])
+    def test_label_count_mismatch(self, n_labels):
+        x, _ = train_data(20)
+        y = np.zeros(n_labels, dtype=int)
+        with pytest.raises(DimensionError, match=f"{n_labels} labels"):
+            train(NetworkModel(seed=0), x, y, Hyperparams(epochs=1))
+
+    @pytest.mark.parametrize("bad", [-1, 10, 2.5])
+    def test_label_outside_classes(self, bad):
+        x, y = train_data(20)
+        y = y.astype(type(bad))
+        y[7] = bad
+        with pytest.raises(InvalidSpecError, match="labels must be"):
+            train(NetworkModel(seed=0), x, y, Hyperparams(epochs=1))
+
+    @pytest.mark.parametrize("log", [None, print])
+    def test_empty_training_set(self, log):
+        model = NetworkModel(seed=0)
+        with pytest.raises(InvalidSpecError, match="no images"):
+            train(model, np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=int),
+                  Hyperparams(epochs=1), log=log)
+        assert model.metadata["trained"] is False
 
 
 class TestCheckpoint:
