@@ -129,28 +129,27 @@ class Conv2D(Layer):
     """Stride-1 2-D convolution (cross-correlation) with zero padding."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, pad: int = 1,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 share: Conv2D | None = None):
+        """With ``share``, a conv of the same shape, the layer uses that
+        conv's parameter and gradient arrays instead of drawing its own."""
         super().__init__()
         self.c_in, self.c_out, self.kernel, self.pad = c_in, c_out, kernel, pad
-        rng = rng or np.random.default_rng()
-        fan_in = c_in * kernel * kernel
-        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                            size=(c_out, c_in, kernel, kernel))
-        self.b = np.zeros(c_out)
+        if share is None:
+            rng = rng or np.random.default_rng()
+            fan_in = c_in * kernel * kernel
+            self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                                size=(c_out, c_in, kernel, kernel))
+            self.b = np.zeros(c_out)
+            self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        else:
+            self.w, self.b, self.grads = share.w, share.b, share.grads
         self.params = [self.w, self.b]
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
-        # the full-batch arrays of training steps, kept by ConvBatch
-        self.batch_arrays = None
         self._part = None
 
     def twin(self) -> Conv2D:
-        twin = object.__new__(Conv2D)
-        twin.c_in, twin.c_out = self.c_in, self.c_out
-        twin.kernel, twin.pad = self.kernel, self.pad
-        twin.w, twin.b = self.w, self.b
-        twin.params, twin.grads = self.params, self.grads
-        twin.batch_arrays = twin._part = None
-        return twin
+        return Conv2D(self.c_in, self.c_out, self.kernel, self.pad,
+                      share=self)
 
     def forward(self, x, train=False, part=None):
         """Output (B, C_O, H', W'), channel-major in memory.
@@ -217,57 +216,57 @@ class ConvBatch:
     bits.  numpy's sum follows memory order, so the bias sums the C-order
     copy: a channel-major gradient would be added in another order.
 
-    The arrays are held by ``conv`` and kept for its next batch of the same
-    shape (``network.train`` drops them when it ends): fresh ones would
-    be faulted in anew by every step.  Whichever part comes first makes
-    them for a new shape.
+    Whichever part comes first makes ``rows`` in ``lower``, and the two
+    gradient arrays, one block, in ``store_grad``: a batch that keeps
+    nothing holds them through its backward pass only.  They go with the
+    batch, unless ``kept``, a dict that outlives it, keeps them for this
+    conv's next batch of the same size.
     """
 
-    def __init__(self, n: int, conv: Conv2D):
+    def __init__(self, n: int, conv: Conv2D, kept: dict | None = None):
         self.n = n
         self.conv = conv
+        self.kept = {} if kept is None else kept
+        self.rows = self.grad_rows = self.grad_c = None
         self._lock = threading.Lock()
 
-    def _arrays(self, h: int, w: int):
-        conv, n = self.conv, self.n
-        shapes = [(conv.c_in * conv.kernel ** 2, n * h * w),
-                  (conv.c_out, n * h * w), (n, conv.c_out, h, w)]
-        with self._lock:
-            kept = conv.batch_arrays
-            if kept is None or [a.shape for a in kept] != shapes:
-                # one allocation, not three: at the network's sizes it is
-                # mapped apart from the heap, where three kept arrays would
-                # split the free space that the passing arrays reuse
-                sizes = [math.prod(shape) for shape in shapes]
-                block = np.empty(sum(sizes))
-                kept = conv.batch_arrays = tuple(
-                    a.reshape(shape) for a, shape in zip(
-                        np.split(block, np.cumsum(sizes)[:-1]), shapes))
-        return kept
+    def _take(self, name: str, shape) -> np.ndarray:
+        """The array ``kept`` holds for this conv under ``name`` if it has
+        ``shape``, else a new one that ``kept`` holds from now on."""
+        key = self.conv, name
+        array = self.kept.get(key)
+        if array is None or array.shape != shape:
+            array = self.kept[key] = np.empty(shape)
+        return array
 
     def lower(self, x, first):
         """``im2col`` of the padded part ``x`` into its columns of ``rows``;
         returns what ``im2col`` returns."""
         k = self.conv.kernel
-        b, _, height, width = x.shape
-        h, w = height - k + 1, width - k + 1
-        rows = self._arrays(h, w)[0]
-        return im2col(x, k, out=rows[:, first * h * w:(first + b) * h * w])
+        b, c, height, width = x.shape
+        hw = (height - k + 1) * (width - k + 1)
+        with self._lock:
+            if self.rows is None:
+                self.rows = self._take("rows", (c * k * k, self.n * hw))
+        return im2col(x, k, out=self.rows[:, first * hw:(first + b) * hw])
 
     def store_grad(self, grad, first):
         """Write a part's (B, C_O, H', W') output gradient into its columns
         of ``grad_rows`` and its rows of ``grad_c``."""
-        b, _, h, w = grad.shape
-        _, grad_rows, grad_c = self.conv.batch_arrays
-        rows_to_batch(grad_rows, (self.n, h, w))[first:first + b] = grad
-        grad_c[first:first + b] = grad
+        b, c, h, w = grad.shape
+        with self._lock:
+            if self.grad_c is None:
+                grads = self._take("grads", (2, self.n, c, h, w))
+                self.grad_rows = grads[0].reshape(c, self.n * h * w)
+                self.grad_c = grads[1]
+        rows_to_batch(self.grad_rows, (self.n, h, w))[first:first + b] = grad
+        self.grad_c[first:first + b] = grad
 
     def reduce(self) -> None:
         """Fill the layer's weight and bias gradients."""
-        rows, grad_rows, grad_c = self.conv.batch_arrays
         w_grad, b_grad = self.conv.grads
-        w_grad[...] = (grad_rows @ rows.T).reshape(w_grad.shape)
-        b_grad[...] = grad_c.sum(axis=(0, 2, 3))
+        w_grad[...] = (self.grad_rows @ self.rows.T).reshape(w_grad.shape)
+        b_grad[...] = self.grad_c.sum(axis=(0, 2, 3))
 
 
 class ReLU(Layer):

@@ -6,7 +6,7 @@ ReLU keeps activations non-negative, which the intensity-encoded photonic
 execution of the conv layers requires.  Training is plain minibatch SGD
 with momentum, fully digital and deterministic given the seed.
 
-A training step runs the conv layers on two halves of the batch, one on a
+A training step runs the conv layers on two parts of the batch, one on a
 helper thread, and the dense layers on the whole batch; its gradients are
 bit-identical to those of one thread (see ``loss_and_backward``).
 Inference runs blocks of images on two threads (see ``predict``).
@@ -35,6 +35,14 @@ ARCH_VERSION = 1
 # being mapped and faulted in afresh for every batch.
 INFER_BLOCK = 32
 
+# A training step splits its batch for the conv stage at a multiple of this
+# many images.  A BLAS rounds a GEMM's output column by its place in the
+# kernel's blocks of columns, so a part must start on a block boundary for
+# its conv GEMMs to round like the whole batch's: with one OpenBLAS thread,
+# a cut after an odd number of images changed conv2's forward bits.  At
+# conv2 a multiple of 8 images is a multiple of 32 columns.
+SPLIT_ALIGN = 8
+
 
 def check_batch_size(batch_size) -> None:
     """Raise InvalidSpecError unless the batch size is an integer >= 1."""
@@ -45,11 +53,6 @@ def check_batch_size(batch_size) -> None:
             f"batch size must be an integer, got {batch_size!r}") from None
     if batch_size < 1:
         raise InvalidSpecError(f"batch size must be >= 1, got {batch_size}")
-
-
-def _reduce(batches) -> None:
-    for batch in batches:
-        batch.reduce()
 
 
 def run_on_two_threads(run, starts, name: str) -> None:
@@ -124,28 +127,35 @@ class NetworkModel:
             x = layer.forward(x, train=train)
         return x
 
-    def loss_and_backward(self, x: np.ndarray, labels: np.ndarray) -> float:
+    def loss_and_backward(self, x: np.ndarray, labels: np.ndarray,
+                          kept: dict | None = None) -> float:
         """Mean loss of a training batch; fills every parameter gradient.
 
         The conv stage (the layers before ``Flatten``) runs on two parts of
-        the batch: the first ceil(n/2) images on the calling thread, the
-        rest on one helper thread with twin layers that share the
-        parameters.  ``Flatten``, the dense layers and the loss run on the
-        whole batch.  Each conv's parts write into one ``ConvBatch``, whose
-        weight and bias gradients are one reduction over the whole batch
-        after the join; conv2's runs on the helper while the caller does
-        conv1's.  So the gradients are those of a one-part pass, bit for
-        bit.  A one-image batch is one part and starts no thread.
+        the batch, cut at the multiple of ``SPLIT_ALIGN`` images nearest to
+        n/2: the first part on the calling thread, the rest on one helper
+        thread with twin layers that share the parameters.  ``Flatten``,
+        the dense layers and the loss run on the whole batch.  Each conv's
+        parts write into one ``ConvBatch``, whose weight and bias gradients
+        are one reduction over the whole batch, on the calling thread after
+        the join.  So the gradients are those of a one-part pass, bit for
+        bit.  A batch whose cut falls at 0 or n (8 images or fewer) is one
+        part and starts no thread.
+
+        ``kept``, a dict that outlives the call, keeps the convs' full-batch
+        arrays (``ConvBatch``) for the next call with as many images.
+        ``train`` passes one to all its steps: arrays made afresh by each
+        step are faulted in afresh and split the heap.
         """
         n = len(x)
-        cut = -(-n // 2)
-        parts = [slice(0, cut), slice(cut, n)] if cut < n else [slice(0, n)]
+        cut = SPLIT_ALIGN * ((n + SPLIT_ALIGN) // (2 * SPLIT_ALIGN))
+        parts = [slice(0, cut), slice(cut, n)] if 0 < cut < n else [slice(0, n)]
         flatten = next(i for i, layer in enumerate(self.layers)
                        if isinstance(layer, Flatten))
         stage, head = self.layers[:flatten], self.layers[flatten:]
         stacks = [stage] + [[layer.twin() for layer in stage]
                             for _ in parts[1:]]
-        batches = [ConvBatch(n, layer) if isinstance(layer, Conv2D)
+        batches = [ConvBatch(n, layer, kept) if isinstance(layer, Conv2D)
                    else None for layer in stage]
         outs = [None] * len(parts)
 
@@ -176,11 +186,9 @@ class NetworkModel:
                 first.backward(g, input_grad=False)
 
         run_on_two_threads(backward, range(len(parts)), "ipcnn-train")
-        convs = [batch for batch in batches if batch is not None]
-        if len(parts) > 1:
-            run_on_two_threads(_reduce, convs, "ipcnn-train")
-        else:
-            _reduce(convs)
+        for batch in batches:
+            if batch is not None:
+                batch.reduce()
         return loss
 
     def predict(self, x: np.ndarray,
@@ -257,27 +265,23 @@ def train(
     grads = model.gradients()
     velocity = [np.zeros_like(p) for p in params]
     n = len(train_images)
-    try:
-        for epoch in range(hyper.epochs):
-            order = rng.permutation(n)
-            for batch_idx, start in enumerate(range(0, n, hyper.batch_size)):
-                sel = order[start:start + hyper.batch_size]
-                loss = model.loss_and_backward(train_images[sel], labels[sel])
-                if not np.isfinite(loss):
-                    raise TrainingError(
-                        f"loss diverged at epoch {epoch}, batch {batch_idx}"
-                    )
-                for p, g, v in zip(params, grads, velocity):
-                    v *= hyper.momentum
-                    v -= hyper.learning_rate * g
-                    p += v
-            if log is not None:
-                log(f"epoch {epoch + 1}/{hyper.epochs}: "
-                    f"last batch loss {loss:.4f}")
-    finally:
-        # the full-batch arrays that the conv layers keep between steps
-        for conv in model.conv_layers:
-            conv.batch_arrays = None
+    kept = {}  # the steps' full-batch conv arrays, for the next step
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(n)
+        for batch_idx, start in enumerate(range(0, n, hyper.batch_size)):
+            sel = order[start:start + hyper.batch_size]
+            loss = model.loss_and_backward(train_images[sel], labels[sel],
+                                           kept=kept)
+            if not np.isfinite(loss):
+                raise TrainingError(
+                    f"loss diverged at epoch {epoch}, batch {batch_idx}"
+                )
+            for p, g, v in zip(params, grads, velocity):
+                v *= hyper.momentum
+                v -= hyper.learning_rate * g
+                p += v
+        if log is not None:
+            log(f"epoch {epoch + 1}/{hyper.epochs}: last batch loss {loss:.4f}")
     model.metadata.update(
         trained=True,
         epochs=hyper.epochs,

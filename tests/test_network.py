@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -17,9 +19,11 @@ from ipcnn.network import (
     train,
 )
 
-# batch sizes whose dense GEMMs round differently when split in halves
-# (1, 17, 18 rows), odd and even halves, and the last batch of an epoch
-STEP_BATCH_SIZES = [1, 2, 3, 5, 7, 16, 33, 36, 50, 63, 64, 65, 99, 100]
+# one-part batches (up to 8 images), batch sizes whose dense GEMMs round
+# differently when split (1, 17, 18 rows), even and uneven parts, and the
+# last batch of an epoch
+STEP_BATCH_SIZES = [1, 2, 3, 7, 8, 9, 12, 17, 18, 24, 33, 36, 40, 50, 63,
+                    64, 65, 99, 100]
 
 
 def serial_step(model, x, labels):
@@ -46,6 +50,21 @@ def serial_step(model, x, labels):
         if isinstance(layer, Conv2D):
             layer.grads[0][...], layer.grads[1][...] = w_grad, b_grad
     return loss
+
+
+def step_mismatches(sizes) -> list:
+    """The batch sizes at which ``loss_and_backward`` differs from the
+    serial step in loss or gradient bits."""
+    x, y = train_data()
+    bad = []
+    for n in sizes:
+        model, ref = NetworkModel(seed=0), NetworkModel(seed=0)
+        same = model.loss_and_backward(x[:n], y[:n]) == serial_step(
+            ref, x[:n], y[:n])
+        if not (same and all(np.array_equal(g, r) for g, r in zip(
+                model.gradients(), ref.gradients(), strict=True))):
+            bad.append(n)
+    return bad
 
 
 def train_data(n=100, seed=5):
@@ -122,10 +141,10 @@ class TestTrainingStep:
             np.testing.assert_array_equal(g, ref)
 
     def test_step_memory_peak(self):
-        # a warm 64-image step allocates about 42 MiB on top of the 62 MiB
-        # of full-batch arrays its convs keep between steps (the one-thread
-        # step took about 72 MiB in all); lowering conv1's unused input
-        # gradient and copying pool tiles took the old step past 170 MiB
+        # one 64-image step takes about 82 MiB (the one-thread step took
+        # about 72 MiB: each conv's full-batch gradient arrays are new);
+        # lowering conv1's unused input gradient and copying pool tiles
+        # takes it past 170 MiB
         x, y = self.batch()
         model = NetworkModel(seed=0)
         model.loss_and_backward(x, y)
@@ -136,6 +155,21 @@ class TestTrainingStep:
         finally:
             tracemalloc.stop()
         assert peak <= 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_train_keeps_no_arrays(self):
+        # train keeps each step's full-batch conv arrays (15 MiB at batch
+        # 16) for the next step only while it runs
+        x, y = train_data(40)
+        hyper = Hyperparams(epochs=1, batch_size=16, seed=0)
+        model = train(NetworkModel(seed=0), x, y, hyper)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(model, x, y, hyper)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 2**20, f"{(after - before) / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("batch_size", STEP_BATCH_SIZES)
     def test_step_matches_serial_step(self, batch_size):
@@ -151,19 +185,35 @@ class TestTrainingStep:
         x, y = train_data()
         hyper = Hyperparams(epochs=1, batch_size=batch_size, seed=2)
         ref = NetworkModel(seed=0)
-        ref.loss_and_backward = lambda xb, yb: serial_step(ref, xb, yb)
+        ref.loss_and_backward = lambda xb, yb, kept: serial_step(ref, xb, yb)
         train(ref, x, y, hyper)
         model = train(NetworkModel(seed=0), x, y, hyper)
         assert model.model_hash() == ref.model_hash()
-        assert all(c.batch_arrays is None for c in model.conv_layers)
 
-    def test_one_image_starts_no_thread(self, monkeypatch):
-        x, y = train_data(2)
+    def test_step_matches_serial_step_on_one_blas_thread(self):
+        # one BLAS thread, as perfbench runs: a cut after an odd number of
+        # images changed conv2's forward bits there, and not on two threads
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = [os.path.join(os.path.dirname(tests), "src"), tests]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS",
+                                       "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        code = ("import test_network; "
+                f"print(test_network.step_mismatches({STEP_BATCH_SIZES}))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_small_batch_starts_no_thread(self, monkeypatch):
+        x, y = train_data(9)
         started = started_threads(monkeypatch)
         NetworkModel(seed=0).loss_and_backward(x[:1], y[:1])
+        NetworkModel(seed=0).loss_and_backward(x[:8], y[:8])
         assert started == []
         NetworkModel(seed=0).loss_and_backward(x, y)
-        assert started, "two images run their second half on a helper"
+        # one helper runs the second part forward, one backward
+        assert len(started) == 2
 
     def test_nan_image_raises_with_helper_joined(self, monkeypatch):
         x, y = train_data()
@@ -174,7 +224,6 @@ class TestTrainingStep:
             train(model, x, y, Hyperparams(epochs=1, batch_size=16, seed=0))
         assert started
         assert not any(t.is_alive() for t in started)
-        assert all(c.batch_arrays is None for c in model.conv_layers)
 
     def test_helper_keeps_callers_error_state(self):
         x, y = train_data(4)
