@@ -141,8 +141,8 @@ class TestTrainingStep:
             np.testing.assert_array_equal(g, ref)
 
     def test_step_memory_peak(self):
-        # one 64-image step takes about 82 MiB (the one-thread step took
-        # about 72 MiB: each conv's full-batch gradient arrays are new);
+        # one 64-image step takes 82-90 MiB, by which thread makes each
+        # full-batch array first (the one-thread step took about 72 MiB);
         # lowering conv1's unused input gradient and copying pool tiles
         # takes it past 170 MiB
         x, y = self.batch()
