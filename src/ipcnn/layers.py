@@ -24,12 +24,12 @@ layer skips it (``input_grad=False``).  Max pooling works on four stride-2
 slices.  Tests hold each route bit-equal to the textbook one (tile
 ``argmax`` pooling, a (k-1)-padded full correlation cropped afterwards).
 
-A training batch may run through the conv layers in parts, each part on
-its own thread and layer objects (``Layer.twin`` shares the parameters).
-The parts of a conv write into one ``ConvBatch``, whose full-batch arrays
-give the weight and bias gradients as one reduction over the whole batch,
-so the split never changes their bits.  A conv trained without a part is
-a one-part batch of its own.
+A training batch may run through the network in parts, each part on its
+own thread and layer objects (``Layer.twin`` shares the parameters).  The
+parts of a conv or dense layer write into one ``GradBatch``, whose
+full-batch arrays give the weight and bias gradients as one reduction
+over the whole batch, so the split never changes their bits.  A layer
+trained without a part is a one-part batch of its own.
 """
 
 from __future__ import annotations
@@ -155,10 +155,11 @@ class Conv2D(Layer):
         """Output (B, C_O, H', W'), channel-major in memory.
 
         In training, ``part`` = (batch, first) says that ``x`` holds images
-        first, first + 1, ... of the ``ConvBatch`` ``batch``, whose
+        first, first + 1, ... of the ``GradBatch`` ``batch``, whose
         ``reduce`` fills the parameter gradients once every part has run
         ``backward``.  Without it ``x`` is a batch of its own, and
-        ``backward`` fills them.
+        ``backward`` fills them.  The part's lowering is written into its
+        columns of the batch's ``rows``.
         """
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise DimensionError(
@@ -166,8 +167,12 @@ class Conv2D(Layer):
             )
         x = pad_hw(x, self.pad)
         if train:
-            batch, first = part or (ConvBatch(len(x), self), 0)
-            cols, dims = batch.lower(x, first)
+            batch, first = part or (GradBatch(len(x), self), 0)
+            k = self.kernel
+            b, c, height, width = x.shape
+            hw = (height - k + 1) * (width - k + 1)
+            rows = batch.array("rows", (c * k * k, batch.n * hw))
+            cols, dims = im2col(x, k, out=rows[:, first * hw:(first + b) * hw])
             self._part = batch, first, part is None
         else:
             cols, dims = im2col(x, self.kernel)
@@ -176,11 +181,20 @@ class Conv2D(Layer):
         return rows_to_batch(out, dims)
 
     def backward(self, grad, input_grad=True):
-        """Return dL/dx, or None if ``input_grad`` is False."""
+        """Return dL/dx, or None if ``input_grad`` is False.
+
+        The part's output gradient is written into its columns of the
+        batch's ``grads[0]``, viewed as (C_O, n*H'*W'), and its rows of
+        ``grads[1]``, the same gradient in C order.
+        """
         k, p = self.kernel, self.pad
         batch, first, alone = self._part
         self._part = None
-        batch.store_grad(grad, first)
+        b, c, h, w = grad.shape
+        grad_rows, grad_c = batch.array("grads", (2, batch.n, c, h, w))
+        rows_to_batch(grad_rows.reshape(c, -1),
+                      (batch.n, h, w))[first:first + b] = grad
+        grad_c[first:first + b] = grad
         if alone:
             batch.reduce()
         if not input_grad:
@@ -199,74 +213,69 @@ class Conv2D(Layer):
         w_mat = w_flip.transpose(0, 2, 3, 1).reshape(-1, self.c_in)
         return (gcols @ w_mat).reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
 
+    def grad_operands(self, batch: GradBatch):
+        """(a, b, grad, axes): the weight gradient is ``a @ b``, the bias
+        gradient ``grad`` summed over ``axes``.
 
-class ConvBatch:
-    """A training batch of ``n`` images at one conv layer, whose parts may
-    run apart, on other threads and twin layers.
+        numpy's sum follows memory order, so the bias sums the C-order copy
+        of the output gradient: a channel-major one would be added in
+        another order.
+        """
+        grad_rows, grad_c = batch.arrays["grads"]
+        return (grad_rows.reshape(self.c_out, -1), batch.arrays["rows"].T,
+                grad_c, (0, 2, 3))
 
-    Each part writes its images' columns or rows of three full-batch arrays:
 
-    - ``rows``, the (C_I*k*k, n*H'*W') lowering of the padded input;
-    - ``grad_rows``, the output gradient as (C_O, n*H'*W');
-    - ``grad_c``, the same gradient in C order, (n, C_O, H', W').
+class GradBatch:
+    """A training batch of ``n`` images at one conv or dense layer, whose
+    parts may run apart, on other threads and twin layers.
 
-    ``reduce`` then computes the weight gradient as one GEMM and the bias
-    gradient as one sum over the whole batch, on operands laid out as those
-    of a one-part batch, so how the batch was split never changes their
-    bits.  numpy's sum follows memory order, so the bias sums the C-order
-    copy: a channel-major gradient would be added in another order.
+    Each part writes its images' columns or rows of the layer's full-batch
+    arrays (``array``): in ``forward`` what the weights multiply, in
+    ``backward`` the output gradient.  ``reduce`` then computes the weight
+    gradient as one GEMM and the bias gradient as one sum over the whole
+    batch, on operands laid out as those of a one-part batch (the layer's
+    ``grad_operands``), so how the batch was split never changes their
+    bits.
 
-    Whichever part comes first makes ``rows`` in ``lower``, and the two
-    gradient arrays, one block, in ``store_grad``: a batch that keeps
-    nothing holds them through its backward pass only.  They go with the
-    batch, unless ``kept``, a dict that outlives it, keeps them for this
-    conv's next batch of the same size.
+    Whichever part asks first makes an array: a batch that keeps nothing
+    holds its forward arrays through its backward pass only.  They go with
+    the batch, unless ``kept``, a dict that outlives it, keeps them for
+    this layer's next batch of the same size.
     """
 
-    def __init__(self, n: int, conv: Conv2D, kept: dict | None = None):
+    def __init__(self, n: int, layer: Layer, kept: dict | None = None):
         self.n = n
-        self.conv = conv
+        self.layer = layer
         self.kept = {} if kept is None else kept
-        self.rows = self.grad_rows = self.grad_c = None
+        self.arrays = {}
         self._lock = threading.Lock()
 
-    def _take(self, name: str, shape) -> np.ndarray:
-        """The array ``kept`` holds for this conv under ``name`` if it has
-        ``shape``, else a new one that ``kept`` holds from now on."""
-        key = self.conv, name
-        array = self.kept.get(key)
-        if array is None or array.shape != shape:
-            array = self.kept[key] = np.empty(shape)
+    def array(self, name: str, shape) -> np.ndarray:
+        """The batch's array ``name``: the one ``kept`` holds for this layer
+        under that name if it has ``shape``, else a new one that ``kept``
+        holds from now on."""
+        with self._lock:
+            array = self.arrays.get(name)
+            if array is None:
+                key = self.layer, name
+                array = self.kept.get(key)
+                if array is None or array.shape != shape:
+                    array = self.kept[key] = np.empty(shape)
+                self.arrays[name] = array
         return array
 
-    def lower(self, x, first):
-        """``im2col`` of the padded part ``x`` into its columns of ``rows``;
-        returns what ``im2col`` returns."""
-        k = self.conv.kernel
-        b, c, height, width = x.shape
-        hw = (height - k + 1) * (width - k + 1)
-        with self._lock:
-            if self.rows is None:
-                self.rows = self._take("rows", (c * k * k, self.n * hw))
-        return im2col(x, k, out=self.rows[:, first * hw:(first + b) * hw])
-
-    def store_grad(self, grad, first):
-        """Write a part's (B, C_O, H', W') output gradient into its columns
-        of ``grad_rows`` and its rows of ``grad_c``."""
-        b, c, h, w = grad.shape
-        with self._lock:
-            if self.grad_c is None:
-                grads = self._take("grads", (2, self.n, c, h, w))
-                self.grad_rows = grads[0].reshape(c, self.n * h * w)
-                self.grad_c = grads[1]
-        rows_to_batch(self.grad_rows, (self.n, h, w))[first:first + b] = grad
-        self.grad_c[first:first + b] = grad
+    def gemm_size(self) -> int:
+        """Multiply-adds of the weight gradient's GEMM."""
+        a, b, _, _ = self.layer.grad_operands(self)
+        return a.shape[0] * a.shape[1] * b.shape[1]
 
     def reduce(self) -> None:
         """Fill the layer's weight and bias gradients."""
-        w_grad, b_grad = self.conv.grads
-        w_grad[...] = (self.grad_rows @ self.rows.T).reshape(w_grad.shape)
-        b_grad[...] = self.grad_c.sum(axis=(0, 2, 3))
+        a, b, grad, axes = self.layer.grad_operands(self)
+        w_grad, b_grad = self.layer.grads
+        w_grad[...] = (a @ b).reshape(w_grad.shape)
+        b_grad[...] = grad.sum(axis=axes)
 
 
 class ReLU(Layer):
@@ -355,30 +364,56 @@ class Flatten(Layer):
 
 class Dense(Layer):
     def __init__(self, n_in: int, n_out: int,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 share: Dense | None = None):
+        """With ``share``, a dense layer of the same shape, the layer uses
+        that layer's parameter and gradient arrays instead of drawing its
+        own."""
         super().__init__()
-        rng = rng or np.random.default_rng()
-        self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
-        self.b = np.zeros(n_out)
+        if share is None:
+            rng = rng or np.random.default_rng()
+            self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
+            self.b = np.zeros(n_out)
+            self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        else:
+            self.w, self.b, self.grads = share.w, share.b, share.grads
         self.params = [self.w, self.b]
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
-        self._x = None
+        self._part = None
 
-    def forward(self, x, train=False):
+    def twin(self) -> Dense:
+        return Dense(*self.w.shape, share=self)
+
+    def forward(self, x, train=False, part=None):
+        """Output (B, n_out); ``part`` as for ``Conv2D.forward``.
+
+        In training the part's input is copied into its rows of the batch's
+        ``x``.
+        """
         if x.shape[1] != self.w.shape[0]:
             raise DimensionError(
                 f"dense input width {x.shape[1]} != {self.w.shape[0]}"
             )
         if train:
-            self._x = x
+            batch, first = part or (GradBatch(len(x), self), 0)
+            batch.array("x", (batch.n, x.shape[1]))[first:first + len(x)] = x
+            self._part = batch, first, part is None
         return x @ self.w + self.b
 
     def backward(self, grad):
-        self.grads[0][...] = self._x.T @ grad
-        self.grads[1][...] = grad.sum(axis=0)
-        out = grad @ self.w.T
-        self._x = None
-        return out
+        """Return dL/dx; the part's output gradient is copied into its rows
+        of the batch's ``grad``."""
+        batch, first, alone = self._part
+        self._part = None
+        batch.array("grad", (batch.n, grad.shape[1]))[
+            first:first + len(grad)] = grad
+        if alone:
+            batch.reduce()
+        return grad @ self.w.T
+
+    def grad_operands(self, batch: GradBatch):
+        """As ``Conv2D.grad_operands``."""
+        x, grad = batch.arrays["x"], batch.arrays["grad"]
+        return x.T, grad, grad, 0
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -6,14 +6,16 @@ ReLU keeps activations non-negative, which the intensity-encoded photonic
 execution of the conv layers requires.  Training is plain minibatch SGD
 with momentum, fully digital and deterministic given the seed.
 
-A training step runs the conv layers on two parts of the batch, one on a
-helper thread, and the dense layers on the whole batch; its gradients are
-bit-identical to those of one thread (see ``loss_and_backward``).
+A training step runs every layer on two parts of the batch, one on a
+helper thread, and computes the weight gradients on two threads, each
+layer's over the whole batch; its gradients are bit-identical to those of
+one thread (see ``loss_and_backward``).
 Inference runs blocks of images on two threads (see ``predict``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import hashlib
 import json
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidSpecError, TrainingError
-from .layers import (Conv2D, ConvBatch, Dense, Flatten, Layer, MaxPool2,
+from .layers import (Conv2D, Dense, Flatten, GradBatch, Layer, MaxPool2,
                      ReLU, cross_entropy_loss)
 
 ARCH_VERSION = 1
@@ -35,12 +37,12 @@ ARCH_VERSION = 1
 # being mapped and faulted in afresh for every batch.
 INFER_BLOCK = 32
 
-# A training step splits its batch for the conv stage at a multiple of this
-# many images.  A BLAS rounds a GEMM's output column by its place in the
-# kernel's blocks of columns, so a part must start on a block boundary for
-# its conv GEMMs to round like the whole batch's: with one OpenBLAS thread,
-# a cut after an odd number of images changed conv2's forward bits.  At
-# conv2 a multiple of 8 images is a multiple of 32 columns.
+# A training step splits its batch at a multiple of this many images.  A
+# BLAS rounds a GEMM's output column by its place in the kernel's blocks of
+# columns, so a part must start on a block boundary for its conv GEMMs to
+# round like the whole batch's: with one OpenBLAS thread, a cut after an
+# odd number of images changed conv2's forward bits.  At conv2 a multiple
+# of 8 images is a multiple of 32 columns.
 SPLIT_ALIGN = 8
 
 
@@ -55,24 +57,56 @@ def check_batch_size(batch_size) -> None:
         raise InvalidSpecError(f"batch size must be >= 1, got {batch_size}")
 
 
-def run_on_two_threads(run, starts, name: str) -> None:
+def run_on_two_threads(run, starts, name: str,
+                       helper: ThreadPoolExecutor | None = None) -> None:
     """``run(starts[1::2])`` on one helper thread while the calling thread
     runs ``run(starts[0::2])``; fewer than two starts start no thread.
 
-    The helper is joined before this returns or raises; an error of either
-    thread is raised.  The helper runs in a copy of the caller's context,
-    so the caller's ``np.errstate`` holds on both threads.
+    The helper is ``helper``'s worker, or else a thread named ``name``
+    started for this call; either way its share is done before this
+    returns or raises, and an error of either thread is raised.  The
+    helper runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds on both threads.
     """
     if len(starts) < 2:
         run(starts)
         return
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix=name) as pool:
-        helper = pool.submit(contextvars.copy_context().run, run,
-                             starts[1::2])
+    with contextlib.ExitStack() as stack:
+        if helper is None:
+            helper = stack.enter_context(ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=name))
+        share = helper.submit(contextvars.copy_context().run, run,
+                              starts[1::2])
         try:
             run(starts[0::2])
         finally:
-            helper.result()
+            share.result()
+
+
+class StepState:
+    """What the training steps of one ``train`` call keep from one step to
+    the next: the layers' full-batch arrays (``arrays``, see ``GradBatch``)
+    and one helper thread (``helper``), started by the first step that
+    splits its batch.
+
+    Arrays made afresh by each step are faulted in afresh and split the
+    heap.  A helper thread started afresh for each stage of each step may
+    find its predecessor's malloc arena still taken and open another one,
+    which raised an epoch's peak memory by about 23 MiB in half the runs.
+    Leaving the ``with`` block joins the helper and drops the arrays.
+    """
+
+    def __init__(self):
+        self.arrays = {}
+        self.helper = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="ipcnn-train")
+
+    def __enter__(self) -> StepState:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.helper.shutdown()
+        self.arrays.clear()
 
 
 @dataclass
@@ -128,53 +162,54 @@ class NetworkModel:
         return x
 
     def loss_and_backward(self, x: np.ndarray, labels: np.ndarray,
-                          kept: dict | None = None) -> float:
+                          kept: StepState | None = None) -> float:
         """Mean loss of a training batch; fills every parameter gradient.
 
-        The conv stage (the layers before ``Flatten``) runs on two parts of
-        the batch, cut at the multiple of ``SPLIT_ALIGN`` images nearest to
-        n/2: the first part on the calling thread, the rest on one helper
-        thread with twin layers that share the parameters.  ``Flatten``,
-        the dense layers and the loss run on the whole batch.  Each conv's
-        parts write into one ``ConvBatch``, whose weight and bias gradients
-        are one reduction over the whole batch, on the calling thread after
-        the join.  So the gradients are those of a one-part pass, bit for
-        bit.  A batch whose cut falls at 0 or n (8 images or fewer) is one
-        part and starts no thread.
+        The batch runs through the network in two parts, cut at the
+        multiple of ``SPLIT_ALIGN`` images nearest to n/2: the first part
+        on the calling thread, the rest on one helper thread with twin
+        layers that share the parameters.  The parts join for the loss,
+        one call over the whole batch's logits, and run backward apart
+        again.  Each conv or dense layer's parts write into one
+        ``GradBatch``, whose weight and bias gradients are one reduction
+        over the whole batch after the join.  So the gradients are those of
+        a one-part pass, bit for bit.  The reductions also run on two
+        threads, split by whole layers: the largest weight GEMM (conv2's)
+        on the helper, every other layer's reduction on the calling thread.
 
-        ``kept``, a dict that outlives the call, keeps the convs' full-batch
-        arrays (``ConvBatch``) for the next call with as many images.
-        ``train`` passes one to all its steps: arrays made afresh by each
-        step are faulted in afresh and split the heap.
+        A batch whose cut falls at 0 or leaves one image (9 images or
+        fewer) is one part and starts no thread: a one-image part's dense
+        GEMMs are matrix-vector products, which numpy rounds differently.
+
+        ``kept``, a ``StepState`` that outlives the call, keeps the layers'
+        full-batch arrays for the next call with as many images, and its
+        helper thread takes the helper's share of each stage.  ``train``
+        passes one to all its steps; without it each stage starts a thread.
         """
         n = len(x)
         cut = SPLIT_ALIGN * ((n + SPLIT_ALIGN) // (2 * SPLIT_ALIGN))
-        parts = [slice(0, cut), slice(cut, n)] if 0 < cut < n else [slice(0, n)]
-        flatten = next(i for i, layer in enumerate(self.layers)
-                       if isinstance(layer, Flatten))
-        stage, head = self.layers[:flatten], self.layers[flatten:]
-        stacks = [stage] + [[layer.twin() for layer in stage]
-                            for _ in parts[1:]]
-        batches = [ConvBatch(n, layer, kept) if isinstance(layer, Conv2D)
-                   else None for layer in stage]
-        outs = [None] * len(parts)
+        parts = ([slice(0, cut), slice(cut, n)] if 0 < cut < n - 1
+                 else [slice(0, n)])
+        stacks = [self.layers] + [[layer.twin() for layer in self.layers]
+                                  for _ in parts[1:]]
+        arrays, helper = ((None, None) if kept is None
+                          else (kept.arrays, kept.helper))
+        batches = [GradBatch(n, layer, arrays) if layer.params else None
+                   for layer in self.layers]
+        logits = [None] * len(parts)
 
         def forward(part_ids):
             for i in part_ids:
                 y = x[parts[i]]
                 for layer, batch in zip(stacks[i], batches):
-                    conv = {} if batch is None else {
+                    part = {} if batch is None else {
                         "part": (batch, parts[i].start)}
-                    y = layer.forward(y, train=True, **conv)
-                outs[i] = y
+                    y = layer.forward(y, train=True, **part)
+                logits[i] = y
 
-        run_on_two_threads(forward, range(len(parts)), "ipcnn-train")
-        y = np.concatenate(outs)
-        for layer in head:
-            y = layer.forward(y, train=True)
-        loss, grad = cross_entropy_loss(y, labels)
-        for layer in reversed(head):
-            grad = layer.backward(grad)
+        run_on_two_threads(forward, range(len(parts)), "ipcnn-train",
+                           helper)
+        loss, grad = cross_entropy_loss(np.concatenate(logits), labels)
 
         def backward(part_ids):
             for i in part_ids:
@@ -185,10 +220,19 @@ class NetworkModel:
                 # nothing reads the gradient with respect to the input images
                 first.backward(g, input_grad=False)
 
-        run_on_two_threads(backward, range(len(parts)), "ipcnn-train")
-        for batch in batches:
-            if batch is not None:
-                batch.reduce()
+        run_on_two_threads(backward, range(len(parts)), "ipcnn-train",
+                           helper)
+        reductions = sorted((batch for batch in batches if batch is not None),
+                            key=GradBatch.gemm_size)
+        groups = ([reductions[:-1], reductions[-1:]] if len(parts) > 1
+                  else [reductions])
+
+        def reduce(own_groups):
+            for group in own_groups:
+                for batch in group:
+                    batch.reduce()
+
+        run_on_two_threads(reduce, groups, "ipcnn-train", helper)
         return loss
 
     def predict(self, x: np.ndarray,
@@ -265,23 +309,24 @@ def train(
     grads = model.gradients()
     velocity = [np.zeros_like(p) for p in params]
     n = len(train_images)
-    kept = {}  # the steps' full-batch conv arrays, for the next step
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        for batch_idx, start in enumerate(range(0, n, hyper.batch_size)):
-            sel = order[start:start + hyper.batch_size]
-            loss = model.loss_and_backward(train_images[sel], labels[sel],
-                                           kept=kept)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"loss diverged at epoch {epoch}, batch {batch_idx}"
-                )
-            for p, g, v in zip(params, grads, velocity):
-                v *= hyper.momentum
-                v -= hyper.learning_rate * g
-                p += v
-        if log is not None:
-            log(f"epoch {epoch + 1}/{hyper.epochs}: last batch loss {loss:.4f}")
+    with StepState() as kept:
+        for epoch in range(hyper.epochs):
+            order = rng.permutation(n)
+            for batch_idx, start in enumerate(range(0, n, hyper.batch_size)):
+                sel = order[start:start + hyper.batch_size]
+                loss = model.loss_and_backward(train_images[sel], labels[sel],
+                                               kept=kept)
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"loss diverged at epoch {epoch}, batch {batch_idx}"
+                    )
+                for p, g, v in zip(params, grads, velocity):
+                    v *= hyper.momentum
+                    v -= hyper.learning_rate * g
+                    p += v
+            if log is not None:
+                log(f"epoch {epoch + 1}/{hyper.epochs}: "
+                    f"last batch loss {loss:.4f}")
     model.metadata.update(
         trained=True,
         epochs=hyper.epochs,
@@ -294,10 +339,15 @@ def train(
 
 
 def save_checkpoint(model: NetworkModel, path) -> None:
-    """Lossless versioned checkpoint: parameter arrays + JSON metadata."""
+    """Lossless versioned checkpoint: parameter arrays + JSON metadata.
+
+    Stored uncompressed: float64 weights compress by about 4 %, and
+    inflating them made each load two to three times as slow.
+    ``load_checkpoint`` reads compressed checkpoints as well.
+    """
     arrays = {f"param_{i}": p for i, p in enumerate(model.parameters())}
     meta = {"arch_version": ARCH_VERSION, "metadata": model.metadata}
-    np.savez_compressed(path, __meta__=np.frombuffer(
+    np.savez(path, __meta__=np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 

@@ -4,6 +4,8 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +21,11 @@ from ipcnn.network import (
     train,
 )
 
-# one-part batches (up to 8 images), batch sizes whose dense GEMMs round
-# differently when split (1, 17, 18 rows), even and uneven parts, and the
+# one-part batches (up to 9 images: a one-image part's dense GEMMs round
+# differently), the smallest split (8 + 2), even and uneven parts, and the
 # last batch of an epoch
-STEP_BATCH_SIZES = [1, 2, 3, 7, 8, 9, 12, 17, 18, 24, 33, 36, 40, 50, 63,
-                    64, 65, 99, 100]
+STEP_BATCH_SIZES = [1, 2, 3, 7, 8, 9, 10, 12, 16, 17, 18, 24, 33, 36, 40, 50,
+                    63, 64, 65, 99, 100]
 
 
 def serial_step(model, x, labels):
@@ -141,7 +143,7 @@ class TestTrainingStep:
             np.testing.assert_array_equal(g, ref)
 
     def test_step_memory_peak(self):
-        # one 64-image step takes 82-90 MiB, by which thread makes each
+        # one 64-image step takes 78-90 MiB, by which thread makes each
         # full-batch array first (the one-thread step took about 72 MiB);
         # lowering conv1's unused input gradient and copying pool tiles
         # takes it past 170 MiB
@@ -206,14 +208,28 @@ class TestTrainingStep:
         assert run.stdout.strip() == "[]"
 
     def test_small_batch_starts_no_thread(self, monkeypatch):
-        x, y = train_data(9)
+        x, y = train_data(10)
         started = started_threads(monkeypatch)
-        NetworkModel(seed=0).loss_and_backward(x[:1], y[:1])
-        NetworkModel(seed=0).loss_and_backward(x[:8], y[:8])
+        for n in (1, 8, 9):
+            NetworkModel(seed=0).loss_and_backward(x[:n], y[:n])
         assert started == []
         NetworkModel(seed=0).loss_and_backward(x, y)
-        # one helper runs the second part forward, one backward
-        assert len(started) == 2
+        # one helper runs the second part forward, one backward, and one
+        # the largest weight gradient
+        assert len(started) == 3
+
+    def test_train_keeps_one_helper(self, monkeypatch):
+        # a helper thread per stage and step may take a malloc arena of its
+        # own; train's steps share one, joined when it returns
+        x, y = train_data(40)
+        started = started_threads(monkeypatch)
+        train(NetworkModel(seed=0), x, y,
+              Hyperparams(epochs=1, batch_size=8, seed=0))
+        assert started == []
+        train(NetworkModel(seed=0), x, y,
+              Hyperparams(epochs=2, batch_size=16, seed=0))
+        assert len(started) == 1
+        assert not started[0].is_alive()
 
     def test_nan_image_raises_with_helper_joined(self, monkeypatch):
         x, y = train_data()
@@ -226,8 +242,8 @@ class TestTrainingStep:
         assert not any(t.is_alive() for t in started)
 
     def test_helper_keeps_callers_error_state(self):
-        x, y = train_data(4)
-        x[3, 0, 5, 5] = np.inf  # an image of the helper's half
+        x, y = train_data(16)
+        x[12, 0, 5, 5] = np.inf  # an image of the helper's half
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with np.errstate(all="raise"), pytest.raises(FloatingPointError):
@@ -317,6 +333,22 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         assert loaded.model_hash() == model.model_hash()
         assert loaded.metadata == model.metadata
+
+    def test_compressed_checkpoint_loads(self, tmp_path):
+        # the test suite's cached model, committed compressed
+        compressed = (Path(__file__).parent / ".cache"
+                      / "model_synthetic_1a1324b7c2087a0b.npz")
+        with zipfile.ZipFile(compressed) as archive:
+            assert {entry.compress_type for entry in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED}
+        model = load_checkpoint(compressed)
+        assert model.metadata["trained"] is True
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with zipfile.ZipFile(path) as archive:
+            assert {entry.compress_type for entry in archive.infolist()} == {
+                zipfile.ZIP_STORED}
+        assert load_checkpoint(path).model_hash() == model.model_hash()
 
     def test_predictions_survive_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
