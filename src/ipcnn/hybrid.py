@@ -7,14 +7,9 @@ encoding, so the optical layer itself stays stride-1/pad-free.  Noise and
 per-trial imbalance draws are derived from a single base seed, making any
 report exactly reproducible.
 
-``hybrid_forward`` walks each batch in blocks of ``INFER_BLOCK`` images,
-conv stage by conv stage, so that no block's arrays outgrow the
-allocator's reusable heap.  Detection noise is a function of (seed, conv,
-image): each image draws each conv's noise from a generator of its own, so
-an image's logits do not depend on the batch size, on the images after it
-or on the thread that ran it.  A noisy call hands every other batch, with
-its noise draws, to one helper thread; a noiseless or one-batch call
-starts no thread.
+``hybrid_forward`` is the model's own inference walk with the analog
+convs standing in for its conv layers; its detection noise is a function
+of (seed, conv, image).
 """
 
 from __future__ import annotations
@@ -36,9 +31,8 @@ from .analog import (
 )
 from .conv_math import ConvLayerSpec
 from .errors import DimensionError, InvalidSpecError
-from .layers import Conv2D, Flatten, MaxPool2, pad_hw
-from .network import (INFER_BLOCK, NetworkModel, check_batch_size,
-                      run_on_two_threads)
+from .layers import Conv2D, MaxPool2, pad_hw
+from .network import NetworkModel, check_labels
 
 
 @dataclass(frozen=True)
@@ -137,10 +131,9 @@ def hybrid_forward(
     """Logits of the hybrid network over a batch of (N, 28, 28) images.
 
     ``setups`` holds one setup per conv layer of ``model``.  An empty batch
-    gives an empty (0, n_classes) array.  Each batch of ``batch_size``
-    images is walked stage by stage: a conv with its bias, ReLU and pooling
-    runs over blocks of ``INFER_BLOCK`` images before the next conv starts;
-    ``Flatten`` and the dense layers then run over the whole batch.
+    gives an empty (0, n_classes) array.  The images take the model's own
+    walk (``NetworkModel.logits``) in batches of ``batch_size``, with each
+    conv layer run as its setup's analog conv plus the layer's bias.
 
     Noise is a function of (seed, conv, image): one root integer is drawn
     from ``noise_rng``, and image ``n`` of ``images`` takes conv ``k``'s
@@ -150,66 +143,24 @@ def hybrid_forward(
     A noisy call runs the odd-numbered batches on one helper thread, joined
     before it returns or raises; a noiseless or one-batch call starts none.
     """
-    check_batch_size(batch_size)
     if len(setups) != len(model.conv_layers):
         raise DimensionError(f"{len(setups)} setups for "
                              f"{len(model.conv_layers)} conv layers")
     root = int(noise_rng.integers(2 ** 63))
-    stages, head = _conv_stages(model)
-    logits = np.empty((len(images), model.layers[-1].w.shape[1]))
 
-    def run(batch_starts):
-        for start in batch_starts:
-            x = images[start:start + batch_size][:, None, :, :]
-            for conv, (setup, layers) in enumerate(zip(setups, stages)):
-                x = _blocked_stage(x, setup, layers, root, conv, start)
-            for layer in head:
-                x = layer.forward(x)
-            logits[start:start + len(x)] = x
+    def conv(k, x, first):
+        s = setups[k]
+        # looked up at call time, so a patched ``hybrid.forward_batch`` runs
+        y = forward_batch(pad_hw(x, s.pad), s.programming, s.spec, s.faults,
+                          rng=_KeyedNoise(root, k, first,
+                                          s.spec.valid_width ** 2))
+        y += s.bias[None, :, None, None]
+        return y
 
-    starts = range(0, len(images), batch_size)
-    if any(output_noise_std(s.programming, s.spec, s.faults) > 0
-           for s in setups):
-        run_on_two_threads(run, starts, "ipcnn-hybrid")
-    else:
-        run(starts)
-    return logits
-
-
-def _conv_stages(model: NetworkModel):
-    """Per conv, the digital layers after it up to the next conv or
-    ``Flatten``; and the layers from ``Flatten`` on."""
-    stages, head = [], list(model.layers)
-    while not isinstance(head[0], Flatten):
-        layer = head.pop(0)
-        if isinstance(layer, Conv2D):
-            stages.append([])
-        else:
-            stages[-1].append(layer)
-    return stages, head
-
-
-def _blocked_stage(x, setup: PhotonicLayerSetup, layers, root, conv,
-                   first) -> np.ndarray:
-    """One analog conv, its bias and ``layers`` over ``x`` in blocks of
-    ``INFER_BLOCK`` images, gathered into one channel-major batch; ``x[0]``
-    is image ``first`` of the call, whose noise ``root`` and ``conv`` key."""
-    out = None
-    for start in range(0, len(x), INFER_BLOCK):
-        y = forward_batch(
-            pad_hw(x[start:start + INFER_BLOCK], setup.pad),
-            setup.programming, setup.spec, setup.faults,
-            rng=_KeyedNoise(root, conv, first + start,
-                            setup.spec.valid_width ** 2),
-        )
-        y += setup.bias[None, :, None, None]
-        for layer in layers:
-            y = layer.forward(y)
-        if out is None:
-            _, c, h, w = y.shape
-            out = np.empty((c, len(x), h, w)).transpose(1, 0, 2, 3)
-        out[start:start + len(y)] = y
-    return out
+    noisy = any(output_noise_std(s.programming, s.spec, s.faults) > 0
+                for s in setups)
+    return model.logits(images[:, None, :, :], batch_size, conv,
+                        "ipcnn-hybrid" if noisy else None)
 
 
 def _confusion(labels: np.ndarray, preds: np.ndarray) -> np.ndarray:
@@ -229,10 +180,11 @@ def infer_hybrid(
     probe_repeats: int = 1,
     batch_size: int = 128,
 ) -> InferenceReport:
-    """Run the hybrid network over a sample set and report accuracy."""
-    if len(labels) != len(images):
-        raise DimensionError(
-            f"{len(labels)} labels for {len(images)} images")
+    """Run the hybrid network over a sample set and report accuracy.
+
+    Bad labels raise as in ``network.check_labels``.
+    """
+    labels = check_labels(labels, len(images), model.n_classes)
     setups = build_photonic_setups(
         model, neop_dbc=neop_dbc, imbalance_db=imbalance_db,
         calibration=calibration, seed=seed, probe_repeats=probe_repeats,

@@ -9,8 +9,9 @@ with momentum, fully digital and deterministic given the seed.
 A training step runs every layer on two parts of the batch, one on a
 helper thread, and computes the weight gradients on two threads, each
 layer's over the whole batch; its gradients are bit-identical to those of
-one thread (see ``loss_and_backward``).
-Inference runs blocks of images on two threads (see ``predict``).
+one thread (see ``loss_and_backward``).  Inference, digital or hybrid,
+is one blocked walk on two threads (see ``NetworkModel.logits``), in
+which hybrid inference runs its analog convs in place of the conv layers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import hashlib
 import json
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +58,28 @@ def check_batch_size(batch_size) -> None:
         raise InvalidSpecError(f"batch size must be >= 1, got {batch_size}")
 
 
-def run_on_two_threads(run, starts, name: str,
+def check_labels(labels, n_images: int, n_classes: int) -> np.ndarray:
+    """The labels as an array; raises DimensionError unless there is one
+    per image, and InvalidSpecError unless each is an integer in
+    [0, ``n_classes``)."""
+    labels = np.asarray(labels)
+    if len(labels) != n_images:
+        raise DimensionError(f"{len(labels)} labels for {n_images} images")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidSpecError(
+            f"labels must be integers, got dtype {labels.dtype}")
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if len(bad):
+        raise InvalidSpecError(
+            f"labels must be in [0, {n_classes}), got {bad[0]}")
+    return labels
+
+
+def run_on_two_threads(run, starts, name: str | None,
                        helper: ThreadPoolExecutor | None = None) -> None:
     """``run(starts[1::2])`` on one helper thread while the calling thread
-    runs ``run(starts[0::2])``; fewer than two starts start no thread.
+    runs ``run(starts[0::2])``; fewer than two starts, or no ``name``,
+    start no thread.
 
     The helper is ``helper``'s worker, or else a thread named ``name``
     started for this call; either way its share is done before this
@@ -68,7 +87,7 @@ def run_on_two_threads(run, starts, name: str,
     helper runs in a copy of the caller's context, so the caller's
     ``np.errstate`` holds on both threads.
     """
-    if len(starts) < 2:
+    if name is None or len(starts) < 2:
         run(starts)
         return
     with contextlib.ExitStack() as stack:
@@ -149,6 +168,10 @@ class NetworkModel:
     @property
     def conv_layers(self) -> list[Conv2D]:
         return [layer for layer in self.layers if isinstance(layer, Conv2D)]
+
+    @property
+    def n_classes(self) -> int:
+        return self.layers[-1].w.shape[1]
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
@@ -235,34 +258,46 @@ class NetworkModel:
         run_on_two_threads(reduce, groups, "ipcnn-train", helper)
         return loss
 
-    def predict(self, x: np.ndarray,
-                batch_size: int = INFER_BLOCK) -> np.ndarray:
-        """Predicted class per image; an empty batch gives an empty array.
+    def logits(self, x: np.ndarray, batch_size: int = INFER_BLOCK,
+               conv=None, thread: str | None = "ipcnn-predict") -> np.ndarray:
+        """Logits of a batch of (N, C, H, W) images, (0, n_classes) if empty.
 
-        Evaluates blocks of ``batch_size`` images, the odd-numbered ones on
-        one helper thread while the calling thread takes the rest, so at
-        most two threads work at once; a single block starts no thread.
-        Inference-mode layers keep no state, so the two may share the
-        model.  The logits of a block round like those of any batch of its
-        size; only their argmax leaves this method.
+        The one inference walk: batches of ``batch_size`` images alternate
+        between the calling thread and a helper named ``thread`` (none if
+        ``thread`` is None, see ``run_on_two_threads``), and each batch
+        runs through every layer in blocks of at most ``INFER_BLOCK``
+        images.  ``conv``, if given, stands in for the conv layers: a
+        block's k-th conv is ``conv(k, block, first)``, where ``first`` is
+        the index in ``x`` of the block's first image.
         """
         check_batch_size(batch_size)
-        starts = range(0, len(x), batch_size)
-        preds = np.empty(len(x), dtype=np.intp)
+        out = np.empty((len(x), self.n_classes))
 
-        def run(block_starts):
-            for i in block_starts:
-                preds[i:i + batch_size] = self.forward(
-                    x[i:i + batch_size]).argmax(axis=1)
+        def run(batch_starts):
+            for start in batch_starts:
+                end = min(start + batch_size, len(x))
+                for first in range(start, end, INFER_BLOCK):
+                    y, k = x[first:min(first + INFER_BLOCK, end)], 0
+                    for layer in self.layers:
+                        if conv is not None and isinstance(layer, Conv2D):
+                            y, k = conv(k, y, first), k + 1
+                        else:
+                            y = layer.forward(y)
+                    out[first:first + len(y)] = y
 
-        run_on_two_threads(run, starts, "ipcnn-predict")
-        return preds
+        run_on_two_threads(run, range(0, len(x), batch_size), thread)
+        return out
+
+    def predict(self, x: np.ndarray,
+                batch_size: int = INFER_BLOCK) -> np.ndarray:
+        """Predicted class per image: the argmax of ``logits``."""
+        return self.logits(x, batch_size).argmax(axis=1)
 
     def accuracy(self, x: np.ndarray, labels: np.ndarray,
                  batch_size: int = INFER_BLOCK) -> float:
-        """Fraction of correct predictions; NaN for an empty batch."""
-        if len(labels) != len(x):
-            raise DimensionError(f"{len(labels)} labels for {len(x)} images")
+        """Fraction of correct predictions; NaN for an empty batch.  Bad
+        labels raise as in ``check_labels``."""
+        labels = check_labels(labels, len(x), self.n_classes)
         preds = self.predict(x, batch_size)
         if len(preds) == 0:
             return float("nan")
@@ -290,20 +325,9 @@ def train(
     integer class index of the model.
     """
     hyper.validate()
-    if len(train_labels) != len(train_images):
-        raise DimensionError(
-            f"{len(train_labels)} labels for {len(train_images)} images")
+    labels = check_labels(train_labels, len(train_images), model.n_classes)
     if len(train_images) == 0:
         raise InvalidSpecError("the training set holds no images")
-    labels = np.asarray(train_labels)
-    n_classes = model.layers[-1].w.shape[1]
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise InvalidSpecError(
-            f"labels must be integers, got dtype {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        bad = labels[(labels < 0) | (labels >= n_classes)][0]
-        raise InvalidSpecError(
-            f"labels must be in [0, {n_classes}), got {bad}")
     rng = np.random.default_rng(hyper.seed)
     params = model.parameters()
     grads = model.gradients()

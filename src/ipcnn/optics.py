@@ -2,8 +2,8 @@
 
 Covers the cascaded delay-line bank with intensity-equalizing drop ports,
 noise-equivalent optical power (NEOP) aggregation at the photodetector/TIA,
-the Kerr-nonlinearity power cap of the shared waveguide, and plain dB link
-budgets.  All pure functions over immutable values.
+the Kerr nonlinearity coefficient, and dBm/W conversions.  All pure
+functions over immutable values.
 """
 
 from __future__ import annotations
@@ -140,24 +140,6 @@ def nonlinear_coefficient(n2: float, wavelength: float, mode_area: float) -> flo
     if n2 <= 0 or wavelength <= 0 or mode_area <= 0:
         raise InvalidSpecError("n2, wavelength and mode_area must be positive")
     return 2.0 * (2.0 * np.pi * n2) / (wavelength * mode_area)
-
-
-def check_power_cap(power: float, cap: float) -> tuple[bool, float]:
-    """Return (pass, margin_dB) of a power against the waveguide cap."""
-    if cap <= 0:
-        raise InvalidSpecError(f"power cap must be positive, got {cap}")
-    margin = 10 * np.log10(cap / power) if power > 0 else np.inf
-    return power <= cap, float(margin)
-
-
-def link_loss(stages: list[tuple[str, float]]) -> tuple[float, float]:
-    """Sum named dB losses; return (total_dB, linear transmission)."""
-    total = 0.0
-    for name, loss_db in stages:
-        if loss_db < 0:
-            raise InvalidSpecError(f"stage {name!r} has negative loss {loss_db}")
-        total += loss_db
-    return total, float(10 ** (-total / 10))
 
 
 def dbm_to_watts(dbm: float) -> float:

@@ -282,10 +282,17 @@ class TestNoiseAhead:
         (77, 77, _conv2_only_noisy),
         (90, 50, lambda m: build_photonic_setups(
             m, neop_dbc=-15.0, imbalance_db=6.0, calibration=True, seed=9)),
+        # a one-image tail block, whose dense GEMMs are matrix-vector
+        # products
+        (33, 128, lambda m: build_photonic_setups(m, neop_dbc=-10.0,
+                                                  seed=10)),
+        (161, 128, lambda m: build_photonic_setups(m, neop_dbc=-10.0,
+                                                   seed=11)),
     ], ids=["uneven-last-batch", "one-image", "imbalance-calibrated",
             "no-images", "conv2-only-noisy", "blocks-two-batches",
             "blocks-one-batch", "blocks-999-images", "blocks-conv2-only-noisy",
-            "blocks-imbalance-calibrated"])
+            "blocks-imbalance-calibrated", "one-image-tail-block",
+            "one-image-tail-block-two-batches"])
     def test_matches_serial_route(self, model, n_images, batch_size,
                                   make_setups):
         images = np.random.default_rng(9).random((n_images, 28, 28))
@@ -440,6 +447,25 @@ class TestBlockedPredict:
         np.testing.assert_array_equal(model.predict(x),
                                       model.forward(x).argmax(axis=1))
 
+    @pytest.mark.parametrize("n_images, batch_size, blocks", [
+        (100, 32, [(0, 32), (32, 32), (64, 32), (96, 4)]),
+        # batches of 64 and 33 images, two blocks each, the last of one image
+        (97, 64, [(0, 32), (32, 32), (64, 32), (96, 1)]),
+    ])
+    def test_own_convs_as_hook_match_no_hook(self, model, n_images,
+                                             batch_size, blocks):
+        x = np.random.default_rng(3).random((n_images, 1, 28, 28))
+        calls = []
+
+        def conv(k, block, first):
+            calls.append((first, len(block), k))
+            return model.conv_layers[k].forward(block)
+
+        hooked = model.logits(x, batch_size, conv)
+        assert hooked.tobytes() == model.logits(x, batch_size).tobytes()
+        assert sorted(calls) == [(first, size, k) for first, size in blocks
+                                 for k in (0, 1)]
+
     def test_concurrent_calls_under_fast_switching(self, model):
         # four callers, each with its own helper, share one model
         x = np.random.default_rng(3).random((100, 1, 28, 28))
@@ -503,6 +529,20 @@ class TestBadCounts:
         }[call]
         with pytest.raises(InvalidSpecError, match="integer"):
             run()
+
+    @pytest.mark.parametrize("bad", [-1, 10, 0.5])
+    @pytest.mark.parametrize("call", ["infer_hybrid", "accuracy"])
+    def test_label_outside_classes(self, model, samples, call, bad):
+        # -1 used to count in the confusion matrix's last row, and 10 or 0.5
+        # raised a bare IndexError
+        images, labels = samples
+        labels = labels.astype(type(bad))
+        labels[4] = bad
+        with pytest.raises(InvalidSpecError, match="labels must be"):
+            if call == "infer_hybrid":
+                infer_hybrid(model, images, labels)
+            else:
+                model.accuracy(images[:, None], labels)
 
     def test_accuracy_label_count(self, model):
         with pytest.raises(DimensionError, match="labels"):

@@ -6,10 +6,8 @@ from ipcnn.errors import InfeasibleDesignError, InvalidSpecError
 from ipcnn.optics import (
     DEFAULT_GROUP_VELOCITY,
     aggregate_neop,
-    check_power_cap,
     dbm_to_watts,
     design_delay_bank,
-    link_loss,
     nonlinear_coefficient,
     watts_to_dbm,
 )
@@ -120,29 +118,7 @@ class TestNonlinearity:
 
 
 class TestPowerCapAndLinks:
-    def test_cap_pass_and_margin(self):
-        ok, margin = check_power_cap(0.01, 0.1)
-        assert ok
-        assert margin == pytest.approx(10.0, rel=1e-12)
-
-    def test_cap_fail(self):
-        ok, margin = check_power_cap(0.2, 0.1)
-        assert not ok
-        assert margin == pytest.approx(-10 * np.log10(2), rel=1e-9)
-
-    def test_zero_power(self):
-        ok, margin = check_power_cap(0.0, 0.1)
-        assert ok and np.isinf(margin)
-
-    def test_link_loss_sum(self):
-        total, trans = link_loss([("input", 2.0), ("modulator", 4.0),
-                                  ("wdm", 1.0), ("split", 6.4)])
-        assert total == pytest.approx(13.4)
-        assert trans == pytest.approx(10 ** -1.34, rel=1e-12)
-
-    def test_link_loss_negative_stage(self):
-        with pytest.raises(InvalidSpecError, match="bad"):
-            link_loss([("bad", -1.0)])
+    """dBm/W conversions, which the config applies to ``power_cap_dbm``."""
 
     def test_dbm_round_trip(self):
         assert dbm_to_watts(20.0) == pytest.approx(0.1, rel=1e-12)
