@@ -20,9 +20,12 @@ elsewhere, because a BLAS may round by operand layout.
 
 Conv forward and backward are GEMMs over ``im2col``; the input gradient
 lowers only the patches that land on the unpadded input, and the first
-layer skips it (``input_grad=False``).  Max pooling works on four stride-2
-slices.  Tests hold each route bit-equal to the textbook one (tile
-``argmax`` pooling, a (k-1)-padded full correlation cropped afterwards).
+layer skips it (``input_grad=False``).  Max pooling takes the maximum of
+each tile row, then of the two rows; training keeps one byte per tile
+that names its first maximum, and the backward pass is one scatter of
+the output gradient.  Tests hold each route bit-equal to the textbook one
+(tile ``argmax`` pooling, a (k-1)-padded full correlation cropped
+afterwards).
 
 A training batch may run through the network in parts, each part on its
 own thread and layer objects (``Layer.twin`` shares the parameters).  The
@@ -183,18 +186,15 @@ class Conv2D(Layer):
     def backward(self, grad, input_grad=True):
         """Return dL/dx, or None if ``input_grad`` is False.
 
-        The part's output gradient is written into its columns of the
-        batch's ``grads[0]``, viewed as (C_O, n*H'*W'), and its rows of
-        ``grads[1]``, the same gradient in C order.
+        The part's output gradient is written into its images of the
+        batch's channel-major ``grads``, (C_O, n, H', W').
         """
         k, p = self.kernel, self.pad
         batch, first, alone = self._part
         self._part = None
         b, c, h, w = grad.shape
-        grad_rows, grad_c = batch.array("grads", (2, batch.n, c, h, w))
-        rows_to_batch(grad_rows.reshape(c, -1),
-                      (batch.n, h, w))[first:first + b] = grad
-        grad_c[first:first + b] = grad
+        grads = batch.array("grads", (c, batch.n, h, w))
+        grads.transpose(1, 0, 2, 3)[first:first + b] = grad
         if alone:
             batch.reduce()
         if not input_grad:
@@ -214,16 +214,27 @@ class Conv2D(Layer):
         return (gcols @ w_mat).reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
 
     def grad_operands(self, batch: GradBatch):
-        """(a, b, grad, axes): the weight gradient is ``a @ b``, the bias
-        gradient ``grad`` summed over ``axes``.
+        """(a, b): the weight gradient is ``a @ b``."""
+        return (batch.arrays["grads"].reshape(self.c_out, -1),
+                batch.arrays["rows"].T)
 
-        numpy's sum follows memory order, so the bias sums the C-order copy
-        of the output gradient: a channel-major one would be added in
-        another order.
+    def bias_grad(self, batch: GradBatch) -> np.ndarray:
+        """The output gradient summed over images and positions, in the
+        order numpy sums a C-order (n, C_O, H', W') copy over axes
+        (0, 2, 3): each image's H'*W' run of a channel pairwise, then
+        those sums image by image from 0.0.
+
+        With one channel that copy is one run of n*H'*W' values, summed
+        pairwise as a whole, and ``grads`` holds it in the same order.
         """
-        grad_rows, grad_c = batch.arrays["grads"]
-        return (grad_rows.reshape(self.c_out, -1), batch.arrays["rows"].T,
-                grad_c, (0, 2, 3))
+        grads = batch.arrays["grads"]
+        c, n, h, w = grads.shape
+        if c == 1:
+            return grads.reshape(1, -1).sum(axis=1)
+        per_image = np.empty((n, c))
+        grads.reshape(c, n, h * w).sum(axis=2, out=per_image.T)
+        # a reduction over the outer axis of a C-order array adds row by row
+        return per_image.sum(axis=0)
 
 
 class GradBatch:
@@ -234,9 +245,9 @@ class GradBatch:
     arrays (``array``): in ``forward`` what the weights multiply, in
     ``backward`` the output gradient.  ``reduce`` then computes the weight
     gradient as one GEMM and the bias gradient as one sum over the whole
-    batch, on operands laid out as those of a one-part batch (the layer's
-    ``grad_operands``), so how the batch was split never changes their
-    bits.
+    batch, on arrays laid out as those of a one-part batch (the layer's
+    ``grad_operands`` and ``bias_grad``), so how the batch was split never
+    changes their bits.
 
     Whichever part asks first makes an array: a batch that keeps nothing
     holds its forward arrays through its backward pass only.  They go with
@@ -267,15 +278,15 @@ class GradBatch:
 
     def gemm_size(self) -> int:
         """Multiply-adds of the weight gradient's GEMM."""
-        a, b, _, _ = self.layer.grad_operands(self)
+        a, b = self.layer.grad_operands(self)
         return a.shape[0] * a.shape[1] * b.shape[1]
 
     def reduce(self) -> None:
         """Fill the layer's weight and bias gradients."""
-        a, b, grad, axes = self.layer.grad_operands(self)
+        a, b = self.layer.grad_operands(self)
         w_grad, b_grad = self.layer.grads
         w_grad[...] = (a @ b).reshape(w_grad.shape)
-        b_grad[...] = grad.sum(axis=axes)
+        b_grad[...] = self.layer.bias_grad(self)
 
 
 class ReLU(Layer):
@@ -297,52 +308,62 @@ class ReLU(Layer):
 class MaxPool2(Layer):
     """2x2 max pooling with stride 2; input height/width must be even.
 
-    Works on the four stride-2 slices of the input, one per tile position
-    in row-major order.  Training records, per slice, where it holds the
-    tile's first maximum in that order (the element ``argmax`` picks), and
-    ``backward`` routes each output gradient there, into an input gradient
-    laid out in memory like the input.
+    Forward takes each row's maximum over a tile's two columns, then the
+    larger of the tile's two row maxima.  Training keeps one byte per tile
+    that names the element the gradient goes to, ``2 * down + right``: the
+    tile's first maximum in row-major order (the element ``argmax`` picks).
+    ``backward`` writes each output gradient there with one scatter into
+    zeros laid out in memory like the input.  A tile that holds NaN has no
+    maximum, and its gradient goes nowhere.
     """
-
-    _OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self):
         super().__init__()
-        self._masks = None
-        self._layout = None
+        self._route = None
 
     def forward(self, x, train=False):
         if x.shape[2] % 2 or x.shape[3] % 2:
             raise DimensionError(f"pooling needs even height/width, got {x.shape}")
-        s00, s01, s10, s11 = (x[:, :, i::2, j::2] for i, j in self._OFFSETS)
-        out = np.maximum(np.maximum(s00, s01), np.maximum(s10, s11))
+        left, right = x[..., 0::2], x[..., 1::2]
+        rows = np.maximum(left, right)
+        top, bottom = rows[:, :, 0::2], rows[:, :, 1::2]
+        out = np.maximum(top, bottom)
         if train:
-            taken = np.zeros_like(out, dtype=bool)
-            self._masks = []
-            for s in (s00, s01, s10, s11):
-                first = (s == out) & ~taken
-                taken |= first
-                self._masks.append(first)
-            self._layout = x.shape, x.strides
+            # ties go to the top row and to the left column
+            down = (bottom > top).view(np.uint8)
+            to_right = (right > left).view(np.uint8)
+            upper, lower = to_right[:, :, 0::2], to_right[:, :, 1::2]
+            # where(down, 2 + lower, upper) in uint8 arithmetic, which wraps
+            code = lower + np.uint8(2)
+            code -= upper
+            code *= down
+            code += upper
+            nan_tiles = np.isnan(out)
+            self._route = (code, nan_tiles if nan_tiles.any() else None,
+                           x.strides)
         return out
 
     def backward(self, grad):
-        dx = _zeros_in_layout(*self._layout)
-        for (i, j), mask in zip(self._OFFSETS, self._masks):
-            np.copyto(dx[:, :, i::2, j::2], grad, where=mask)
-        self._masks = self._layout = None
+        code, nan_tiles, strides = self._route
+        self._route = None
+        if nan_tiles is not None:
+            grad = np.where(nan_tiles, 0.0, grad)
+        # zeros laid out like the input; the scatter walks its memory order,
+        # outermost axis first
+        order = np.argsort(-np.asarray(strides), kind="stable")
+        tile = np.array((1, 1, 2, 2))
+        flat = np.zeros(4 * code.size)
+        dx = flat.reshape(np.take(tile * code.shape, order)).transpose(
+            np.argsort(order))
+        steps = np.array(dx.strides) // dx.itemsize
+        sh, sw = steps[2:]
+        index = np.zeros((), dtype=np.intp)
+        for axis in order:
+            index = np.add.outer(
+                index, np.arange(code.shape[axis]) * tile[axis] * steps[axis])
+        index += np.take((0, sw, sh, sh + sw), code.transpose(order))
+        flat[index] = grad.transpose(order)
         return dx
-
-
-def _zeros_in_layout(shape, strides) -> np.ndarray:
-    """Zeros of ``shape``, laid out in memory like an array with ``strides``.
-
-    Not ``np.zeros_like(mask, shape=shape)``: a 1x1 pooled output has size-1
-    axes whose strides leave numpy's K order ambiguous.
-    """
-    outer_first = np.argsort(-np.asarray(strides), kind="stable")
-    return np.zeros(np.take(shape, outer_first)).transpose(
-        np.argsort(outer_first))
 
 
 class Flatten(Layer):
@@ -412,8 +433,11 @@ class Dense(Layer):
 
     def grad_operands(self, batch: GradBatch):
         """As ``Conv2D.grad_operands``."""
-        x, grad = batch.arrays["x"], batch.arrays["grad"]
-        return x.T, grad, grad, 0
+        return batch.arrays["x"].T, batch.arrays["grad"]
+
+    def bias_grad(self, batch: GradBatch) -> np.ndarray:
+        """As ``Conv2D.bias_grad``: the output gradient summed over images."""
+        return batch.arrays["grad"].sum(axis=0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

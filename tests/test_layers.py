@@ -216,6 +216,21 @@ class TestExactRoutes:
         np.testing.assert_array_equal(pool.backward(np.ones((1, 1, 1, 1))),
                                       [[[[1.0, 0.0], [0.0, 0.0]]]])
 
+    @pytest.mark.parametrize("position", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_pool_nan_tile_routes_no_gradient(self, position):
+        # no element equals a NaN maximum, so the first tile's gradient
+        # goes nowhere and its input gradient stays +0.0; the second tile
+        # routes as usual
+        x = np.array([[[[1.0, 2.0, 1.0, 3.0], [2.0, 1.0, 2.0, 0.0]]]])
+        x[0, 0][position] = np.nan
+        pool = MaxPool2()
+        out = pool.forward(x, train=True)
+        assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 3.0
+        dx = pool.backward(np.array([[[[5.0, -7.0]]]]))
+        np.testing.assert_array_equal(dx, [[[[0.0, 0.0, 0.0, -7.0],
+                                              [0.0, 0.0, 0.0, 0.0]]]])
+        assert not np.signbit(dx[0, 0, :, :2]).any()
+
     @pytest.mark.parametrize("pad", [0, 1, 2, 3])
     def test_conv_dx_matches_cropped_full_correlation(self, pad):
         rng = np.random.default_rng(13 + pad)

@@ -26,7 +26,7 @@ Three things hold:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -46,6 +46,11 @@ EPS = np.finfo(float).eps
 def channel_major(x):
     """The same (B, C, H, W) values, stored as (C, B, H, W)."""
     return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def channels_last(x):
+    """The same (B, C, H, W) values, stored as (B, H, W, C)."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def nchw_im2col(x, kernel):
@@ -260,6 +265,28 @@ class TestConv:
             layer.backward(grad_in, input_grad=False)
             assert_same(layer.grads[1], grad.sum(axis=(0, 2, 3)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 40), c_out=st.integers(2, 12),
+           height=st.integers(1, 16), width=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1))
+    @example(batch=40, c_out=1, height=16, width=16, seed=0)
+    @example(batch=3, c_out=1, height=1, width=2, seed=1)
+    def test_bias_grad_sums_as_c_order_copy(self, batch, c_out, height,
+                                            width, seed):
+        # the bias gradient sums the channel-major gradient the layer
+        # keeps, in the order numpy sums a C-order copy; per (image,
+        # channel) magnitudes and -0.0 runs make any other order show
+        rng = np.random.default_rng(seed)
+        layer = Conv2D(1, c_out, kernel=1, pad=0, rng=rng)
+        grad = rng.standard_normal((batch, c_out, height, width)) * 10.0 ** \
+            rng.integers(-6, 7, size=(batch, c_out, 1, 1))
+        grad[rng.integers(batch), :, :height // 2] = -0.0
+        grad[:, rng.integers(c_out)] *= -0.0
+        layer.forward(rng.random((batch, 1, height, width)), train=True)
+        layer.backward(channel_major(grad), input_grad=False)
+        assert_same(layer.grads[1],
+                    np.ascontiguousarray(grad).sum(axis=(0, 2, 3)))
+
     def test_forward_output_is_channel_major(self):
         layer = Conv2D(2, 3, rng=np.random.default_rng(0))
         out = layer.forward(np.ones((4, 2, 5, 5)))
@@ -363,3 +390,20 @@ class TestPool:
                 for axes in ((0, 1, 2, 3), (1, 0, 2, 3)):
                     assert dx.transpose(axes).flags.c_contiguous == \
                         x_in.transpose(axes).flags.c_contiguous
+
+    def test_network_shapes_match_nchw_route(self):
+        # pool1 of a 32-image part: a channel-major ReLU output with
+        # all-zero tiles, as dead units leave them, and the channels-last
+        # gradient conv2's backward hands it
+        rng = np.random.default_rng(41)
+        x = np.maximum(rng.standard_normal((32, 32, 28, 28)), 0.0)
+        x[:, :, :6] = 0.0
+        x[:, 5] = 0.0
+        grad = rng.standard_normal((32, 32, 14, 14))
+        grad[:, 9] = -0.0
+        out_ref, dx_ref = nchw_pool(x, grad)
+        pool = MaxPool2()
+        assert_same(pool.forward(channel_major(x), train=True), out_ref)
+        dx = pool.backward(channels_last(grad))
+        assert_same(dx, dx_ref)
+        assert dx.transpose(1, 0, 2, 3).flags.c_contiguous
