@@ -31,3 +31,8 @@ class ConfigError(IpcnnError, ValueError):
 
 class TrainingError(IpcnnError, RuntimeError):
     """Training diverged (non-finite loss); message carries epoch/batch index."""
+
+
+class CheckpointError(IpcnnError, OSError):
+    """A file cannot be read as a checkpoint: not an .npz archive, cut
+    short, or with metadata that is not a JSON object."""

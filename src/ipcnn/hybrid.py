@@ -180,7 +180,8 @@ def infer_hybrid(
     probe_repeats: int = 1,
     batch_size: int = 128,
 ) -> InferenceReport:
-    """Run the hybrid network over a sample set and report accuracy.
+    """Run the hybrid network over a sample set and report accuracy, NaN
+    for an empty set.
 
     Bad labels raise as in ``network.check_labels``.
     """
@@ -193,8 +194,9 @@ def infer_hybrid(
     logits = hybrid_forward(model, images, setups, noise_rng,
                             batch_size=batch_size)
     preds = logits.argmax(axis=1)
+    accuracy = float(np.mean(preds == labels)) if len(preds) else float("nan")
     return InferenceReport(
-        accuracy=float(np.mean(preds == labels)),
+        accuracy=accuracy,
         confusion=_confusion(labels, preds),
         n_samples=len(labels),
         seed=seed,

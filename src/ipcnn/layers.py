@@ -28,11 +28,13 @@ the output gradient.  Tests hold each route bit-equal to the textbook one
 afterwards).
 
 A training batch may run through the network in parts, each part on its
-own thread and layer objects (``Layer.twin`` shares the parameters).  The
-parts of a conv or dense layer write into one ``GradBatch``, whose
-full-batch arrays give the weight and bias gradients as one reduction
-over the whole batch, so the split never changes their bits.  A layer
-trained without a part is a one-part batch of its own.
+own thread through the same layers.  A layer keeps the training state of
+each part (``Layer.state``) under the index of the part's first image in
+the batch, ``first``, from its ``forward`` to its ``backward``.  The parts
+of a conv or dense layer write into one ``GradBatch``, whose full-batch
+arrays give the weight and bias gradients as one reduction over the whole
+batch, so the split never changes their bits.  A layer trained without a
+``GradBatch`` is a one-part batch of its own.
 """
 
 from __future__ import annotations
@@ -47,31 +49,27 @@ from .errors import DimensionError
 
 
 class Layer:
-    """Base: stateless unless it owns parameters."""
+    """Base: parameters and gradients if it owns any, and ``state``, what
+    ``forward(train=True)`` keeps for ``backward``, one entry per part of a
+    batch keyed by ``first``, the index of the part's first image (0 for a
+    whole batch).  ``forward`` stores the entry and ``backward`` pops it,
+    so parts on other threads write disjoint entries."""
 
     params: list[np.ndarray]
     grads: list[np.ndarray]
+    state: dict
 
     def __init__(self):
         self.params = []
         self.grads = []
+        self.state = {}
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, *,
+                first: int = 0) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, first: int = 0) -> np.ndarray:
         raise NotImplementedError
-
-    def twin(self) -> Layer:
-        """A new layer of this kind that shares this one's parameter and
-        gradient arrays but keeps training state of its own, to run another
-        part of a batch on another thread.
-
-        The twin is built, not copied: a copy would also take what was set
-        on this instance, such as a wrapper around its bound ``forward``.
-        This default suits a layer whose constructor takes no arguments.
-        """
-        return type(self)()
 
 
 def pad_hw(x: np.ndarray, p: int) -> np.ndarray:
@@ -132,37 +130,26 @@ class Conv2D(Layer):
     """Stride-1 2-D convolution (cross-correlation) with zero padding."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, pad: int = 1,
-                 rng: np.random.Generator | None = None,
-                 share: Conv2D | None = None):
-        """With ``share``, a conv of the same shape, the layer uses that
-        conv's parameter and gradient arrays instead of drawing its own."""
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.c_in, self.c_out, self.kernel, self.pad = c_in, c_out, kernel, pad
-        if share is None:
-            rng = rng or np.random.default_rng()
-            fan_in = c_in * kernel * kernel
-            self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                size=(c_out, c_in, kernel, kernel))
-            self.b = np.zeros(c_out)
-            self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
-        else:
-            self.w, self.b, self.grads = share.w, share.b, share.grads
+        rng = rng or np.random.default_rng()
+        fan_in = c_in * kernel * kernel
+        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                            size=(c_out, c_in, kernel, kernel))
+        self.b = np.zeros(c_out)
+        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
         self.params = [self.w, self.b]
-        self._part = None
 
-    def twin(self) -> Conv2D:
-        return Conv2D(self.c_in, self.c_out, self.kernel, self.pad,
-                      share=self)
-
-    def forward(self, x, train=False, part=None):
+    def forward(self, x, train=False, *, first=0, batch=None):
         """Output (B, C_O, H', W'), channel-major in memory.
 
-        In training, ``part`` = (batch, first) says that ``x`` holds images
-        first, first + 1, ... of the ``GradBatch`` ``batch``, whose
-        ``reduce`` fills the parameter gradients once every part has run
-        ``backward``.  Without it ``x`` is a batch of its own, and
-        ``backward`` fills them.  The part's lowering is written into its
-        columns of the batch's ``rows``.
+        In training, ``batch`` is the ``GradBatch`` whose images first,
+        first + 1, ... ``x`` holds; its ``reduce`` fills the parameter
+        gradients once every part has run ``backward``.  Without it ``x``
+        is a batch of its own (``first`` 0), and ``backward`` fills them.
+        The part's lowering is written into its columns of the batch's
+        ``rows``.
         """
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise DimensionError(
@@ -170,28 +157,28 @@ class Conv2D(Layer):
             )
         x = pad_hw(x, self.pad)
         if train:
-            batch, first = part or (GradBatch(len(x), self), 0)
+            alone = batch is None
+            batch = batch or GradBatch(len(x), self)
             k = self.kernel
             b, c, height, width = x.shape
             hw = (height - k + 1) * (width - k + 1)
             rows = batch.array("rows", (c * k * k, batch.n * hw))
             cols, dims = im2col(x, k, out=rows[:, first * hw:(first + b) * hw])
-            self._part = batch, first, part is None
+            self.state[first] = batch, alone
         else:
             cols, dims = im2col(x, self.kernel)
         out = self.w.reshape(self.c_out, -1) @ cols.T
         out += self.b[:, None]
         return rows_to_batch(out, dims)
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad, input_grad=True, *, first=0):
         """Return dL/dx, or None if ``input_grad`` is False.
 
         The part's output gradient is written into its images of the
         batch's channel-major ``grads``, (C_O, n, H', W').
         """
         k, p = self.kernel, self.pad
-        batch, first, alone = self._part
-        self._part = None
+        batch, alone = self.state.pop(first)
         b, c, h, w = grad.shape
         grads = batch.array("grads", (c, batch.n, h, w))
         grads.transpose(1, 0, 2, 3)[first:first + b] = grad
@@ -239,7 +226,7 @@ class Conv2D(Layer):
 
 class GradBatch:
     """A training batch of ``n`` images at one conv or dense layer, whose
-    parts may run apart, on other threads and twin layers.
+    parts may run apart, on other threads.
 
     Each part writes its images' columns or rows of the layer's full-batch
     arrays (``array``): in ``forward`` what the weights multiply, in
@@ -290,19 +277,13 @@ class GradBatch:
 
 
 class ReLU(Layer):
-    def __init__(self):
-        super().__init__()
-        self._mask = None
-
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, *, first=0):
         if train:
-            self._mask = x > 0
+            self.state[first] = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad):
-        out = grad * self._mask
-        self._mask = None
-        return out
+    def backward(self, grad, *, first=0):
+        return grad * self.state.pop(first)
 
 
 class MaxPool2(Layer):
@@ -317,11 +298,7 @@ class MaxPool2(Layer):
     maximum, and its gradient goes nowhere.
     """
 
-    def __init__(self):
-        super().__init__()
-        self._route = None
-
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, *, first=0):
         if x.shape[2] % 2 or x.shape[3] % 2:
             raise DimensionError(f"pooling needs even height/width, got {x.shape}")
         left, right = x[..., 0::2], x[..., 1::2]
@@ -339,13 +316,12 @@ class MaxPool2(Layer):
             code *= down
             code += upper
             nan_tiles = np.isnan(out)
-            self._route = (code, nan_tiles if nan_tiles.any() else None,
-                           x.strides)
+            self.state[first] = (code, nan_tiles if nan_tiles.any() else None,
+                                 x.strides)
         return out
 
-    def backward(self, grad):
-        code, nan_tiles, strides = self._route
-        self._route = None
+    def backward(self, grad, *, first=0):
+        code, nan_tiles, strides = self.state.pop(first)
         if nan_tiles is not None:
             grad = np.where(nan_tiles, 0.0, grad)
         # zeros laid out like the input; the scatter walks its memory order,
@@ -367,45 +343,29 @@ class MaxPool2(Layer):
 
 
 class Flatten(Layer):
-    def __init__(self):
-        super().__init__()
-        self._shape = None
-
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, *, first=0):
         if train:
-            self._shape = x.shape
+            self.state[first] = x.shape
         # the width is given, not inferred: -1 is undefined for 0 images
         return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
-    def backward(self, grad):
-        out = grad.reshape(self._shape)
-        self._shape = None
-        return out
+    def backward(self, grad, *, first=0):
+        return grad.reshape(self.state.pop(first))
 
 
 class Dense(Layer):
     def __init__(self, n_in: int, n_out: int,
-                 rng: np.random.Generator | None = None,
-                 share: Dense | None = None):
-        """With ``share``, a dense layer of the same shape, the layer uses
-        that layer's parameter and gradient arrays instead of drawing its
-        own."""
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        if share is None:
-            rng = rng or np.random.default_rng()
-            self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
-            self.b = np.zeros(n_out)
-            self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
-        else:
-            self.w, self.b, self.grads = share.w, share.b, share.grads
+        rng = rng or np.random.default_rng()
+        self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
+        self.b = np.zeros(n_out)
+        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
         self.params = [self.w, self.b]
-        self._part = None
 
-    def twin(self) -> Dense:
-        return Dense(*self.w.shape, share=self)
-
-    def forward(self, x, train=False, part=None):
-        """Output (B, n_out); ``part`` as for ``Conv2D.forward``.
+    def forward(self, x, train=False, *, first=0, batch=None):
+        """Output (B, n_out); ``first`` and ``batch`` as for
+        ``Conv2D.forward``.
 
         In training the part's input is copied into its rows of the batch's
         ``x``.
@@ -415,16 +375,16 @@ class Dense(Layer):
                 f"dense input width {x.shape[1]} != {self.w.shape[0]}"
             )
         if train:
-            batch, first = part or (GradBatch(len(x), self), 0)
+            alone = batch is None
+            batch = batch or GradBatch(len(x), self)
             batch.array("x", (batch.n, x.shape[1]))[first:first + len(x)] = x
-            self._part = batch, first, part is None
+            self.state[first] = batch, alone
         return x @ self.w + self.b
 
-    def backward(self, grad):
+    def backward(self, grad, *, first=0):
         """Return dL/dx; the part's output gradient is copied into its rows
         of the batch's ``grad``."""
-        batch, first, alone = self._part
-        self._part = None
+        batch, alone = self.state.pop(first)
         batch.array("grad", (batch.n, grad.shape[1]))[
             first:first + len(grad)] = grad
         if alone:

@@ -21,12 +21,15 @@ import contextvars
 import hashlib
 import json
 import operator
+import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidSpecError, TrainingError
+from .errors import (CheckpointError, DimensionError, InvalidSpecError,
+                     IpcnnError, TrainingError)
 from .layers import (Conv2D, Dense, Flatten, GradBatch, Layer, MaxPool2,
                      ReLU, cross_entropy_loss)
 
@@ -190,8 +193,9 @@ class NetworkModel:
 
         The batch runs through the network in two parts, cut at the
         multiple of ``SPLIT_ALIGN`` images nearest to n/2: the first part
-        on the calling thread, the rest on one helper thread with twin
-        layers that share the parameters.  The parts join for the loss,
+        on the calling thread, the rest on one helper thread, both through
+        ``self.layers``, each layer keeping each part's state under the
+        part's first image (``Layer.state``).  The parts join for the loss,
         one call over the whole batch's logits, and run backward apart
         again.  Each conv or dense layer's parts write into one
         ``GradBatch``, whose weight and bias gradients are one reduction
@@ -213,8 +217,6 @@ class NetworkModel:
         cut = SPLIT_ALIGN * ((n + SPLIT_ALIGN) // (2 * SPLIT_ALIGN))
         parts = ([slice(0, cut), slice(cut, n)] if 0 < cut < n - 1
                  else [slice(0, n)])
-        stacks = [self.layers] + [[layer.twin() for layer in self.layers]
-                                  for _ in parts[1:]]
         arrays, helper = ((None, None) if kept is None
                           else (kept.arrays, kept.helper))
         batches = [GradBatch(n, layer, arrays) if layer.params else None
@@ -223,11 +225,10 @@ class NetworkModel:
 
         def forward(part_ids):
             for i in part_ids:
-                y = x[parts[i]]
-                for layer, batch in zip(stacks[i], batches):
-                    part = {} if batch is None else {
-                        "part": (batch, parts[i].start)}
-                    y = layer.forward(y, train=True, **part)
+                y, first = x[parts[i]], parts[i].start
+                for layer, batch in zip(self.layers, batches):
+                    extra = {} if batch is None else {"batch": batch}
+                    y = layer.forward(y, train=True, first=first, **extra)
                 logits[i] = y
 
         run_on_two_threads(forward, range(len(parts)), "ipcnn-train",
@@ -236,12 +237,11 @@ class NetworkModel:
 
         def backward(part_ids):
             for i in part_ids:
-                g = grad[parts[i]]
-                first, *rest = stacks[i]
-                for layer in reversed(rest):
-                    g = layer.backward(g)
+                g, first = grad[parts[i]], parts[i].start
+                for layer in reversed(self.layers[1:]):
+                    g = layer.backward(g, first=first)
                 # nothing reads the gradient with respect to the input images
-                first.backward(g, input_grad=False)
+                self.layers[0].backward(g, input_grad=False, first=first)
 
         run_on_two_threads(backward, range(len(parts)), "ipcnn-train",
                            helper)
@@ -376,21 +376,47 @@ def save_checkpoint(model: NetworkModel, path) -> None:
 
 
 def load_checkpoint(path, seed: int = 0) -> NetworkModel:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("arch_version") != ARCH_VERSION:
-            raise DimensionError(
-                f"checkpoint arch version {meta.get('arch_version')} "
-                f"!= {ARCH_VERSION}"
-            )
-        model = NetworkModel(seed=seed)
-        params = model.parameters()
-        for i, p in enumerate(params):
-            stored = data[f"param_{i}"]
-            if stored.shape != p.shape:
+    """The model saved at ``path`` by ``save_checkpoint``.
+
+    Raises DimensionError for a checkpoint of another architecture
+    version, or with an entry missing or of another shape, and
+    CheckpointError (an OSError) for a file that cannot be read as one.
+    """
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"{path}: not an .npz archive")
+        with data:
+            meta = json.loads(bytes(_entry(data, "__meta__")).decode())
+            if not isinstance(meta, dict) or "metadata" not in meta:
+                raise CheckpointError(f"{path}: checkpoint metadata is not "
+                                      "a JSON object with 'metadata'")
+            if meta.get("arch_version") != ARCH_VERSION:
                 raise DimensionError(
-                    f"checkpoint param_{i} shape {stored.shape} != {p.shape}"
+                    f"checkpoint arch version {meta.get('arch_version')} "
+                    f"!= {ARCH_VERSION}"
                 )
-            p[...] = stored
-        model.metadata = meta["metadata"]
+            model = NetworkModel(seed=seed)
+            for i, p in enumerate(model.parameters()):
+                stored = _entry(data, f"param_{i}")
+                if stored.shape != p.shape:
+                    raise DimensionError(
+                        f"checkpoint param_{i} shape {stored.shape} "
+                        f"!= {p.shape}"
+                    )
+                p[...] = stored
+            model.metadata = meta["metadata"]
+    except IpcnnError:
+        raise
+    # a pickle or a bad .npy header, JSON or UTF-8: ValueError; a cut file:
+    # BadZipFile, EOFError or a zlib error
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CheckpointError(
+            f"{path}: not a readable checkpoint ({exc})") from exc
     return model
+
+
+def _entry(data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:
+    if name not in data.files:
+        raise DimensionError(f"checkpoint has no entry {name}")
+    return data[name]

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ipcnn.errors import CheckpointError, DimensionError
 from ipcnn.mnist import find_mnist_dir, load_mnist
 from ipcnn.network import (
     ARCH_VERSION,
@@ -48,6 +49,46 @@ def no_thread_left():
     assert threading.active_count() <= before, (
         f"{threading.active_count() - before} thread(s) left running: "
         f"{[t.name for t in threading.enumerate()]}")
+
+
+# ways to break a checkpoint file, and the error that loading it raises:
+# DimensionError for a checkpoint with an entry missing, CheckpointError (an
+# OSError) for a file that cannot be read as one
+CHECKPOINT_DAMAGE = {
+    "no param_7": DimensionError,
+    "no __meta__": DimensionError,
+    "not an npz": CheckpointError,
+    "an npy": CheckpointError,
+    "truncated": CheckpointError,
+    "bad JSON": CheckpointError,
+    "JSON list": CheckpointError,
+}
+
+
+@pytest.fixture(params=sorted(CHECKPOINT_DAMAGE))
+def broken_checkpoint(request, tmp_path):
+    """(path, error): ``tmp_path / "model.npz"`` written as a model
+    checkpoint broken in one of the ``CHECKPOINT_DAMAGE`` ways, and the
+    error that loading it raises."""
+    damage, path = request.param, tmp_path / "model.npz"
+    save_checkpoint(NetworkModel(seed=0), path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    if damage.startswith("no "):
+        del arrays[damage[3:]]
+        np.savez(path, **arrays)
+    elif damage == "not an npz":
+        path.write_text("not a checkpoint")
+    elif damage == "an npy":
+        with open(path, "wb") as fh:
+            np.save(fh, arrays["param_0"])
+    elif damage == "truncated":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    else:
+        text = b"{not json" if damage == "bad JSON" else b"[1]"
+        arrays["__meta__"] = np.frombuffer(text, dtype=np.uint8)
+        np.savez(path, **arrays)
+    return path, CHECKPOINT_DAMAGE[damage]
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ipcnn.cli import main
+from ipcnn.errors import DimensionError
 from ipcnn.mnist import write_idx
 from ipcnn.network import NetworkModel, save_checkpoint
 from ipcnn.verify import run_equivalence_suite
@@ -184,6 +185,19 @@ class TestTrainAndInfer:
                      "train"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "label 12" in err[0]
+
+    @pytest.mark.parametrize("command",
+                             ["infer", "sweep-noise", "sweep-imbalance"])
+    def test_broken_checkpoint_exit_code(self, tmp_path, capsys,
+                                         broken_checkpoint, command):
+        # an entry missing is a bad checkpoint (2), an unreadable file an
+        # I/O error (3)
+        _, error = broken_checkpoint
+        config = write_config(tmp_path)
+        assert main(["--config", str(config), "--out-dir", str(tmp_path),
+                     command]) == (2 if error is DimensionError else 3)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "checkpoint" in err[0]
 
     def test_imbalance_above_ceiling_exit_two(self, tmp_path, capsys):
         save_checkpoint(NetworkModel(seed=0), tmp_path / "model.npz")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -196,6 +197,14 @@ class TestEmptyBatch:
         preds = model.predict(empty)
         assert preds.shape == (0,) and preds.dtype.kind == "i"
         assert np.isnan(model.accuracy(empty, np.zeros(0, dtype=np.int64)))
+
+    def test_infer_hybrid_accuracy_is_nan(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = infer_hybrid(model, np.zeros((0, 28, 28)),
+                                  np.zeros(0, dtype=np.int64))
+        assert np.isnan(report.accuracy) and report.n_samples == 0
+        assert not report.confusion.any()
 
 
 class TestCalibrationRecovery:

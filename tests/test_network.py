@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -282,8 +283,8 @@ class TestTrainingStep:
 
     def test_wrapped_layer_methods_train_the_same(self):
         # a traced run replaces forward and backward on each layer instance
-        # with a pass-through; the helper's twin layers must not pick the
-        # wrappers up, bound as they are to the caller's layers
+        # with a pass-through, which both parts of a step then call; each
+        # must still reach the layer's own method with its part's ``first``
         x, y = train_data(40)
         hyper = Hyperparams(epochs=1, batch_size=16, seed=1)
         plain = train(NetworkModel(seed=0), x, y, hyper)
@@ -295,6 +296,36 @@ class TestTrainingStep:
                         lambda *a, _m=method, **k: _m(*a, **k))
         train(wrapped, x, y, hyper)
         assert wrapped.model_hash() == plain.model_hash()
+
+    @pytest.mark.parametrize("n, calls", [(64, 2), (9, 1)])
+    def test_parts_share_the_model_layers(self, n, calls):
+        # wrapped on the instance, as a traced run wraps them: a split step
+        # reaches each layer once per part, a one-part step once
+        x, y = train_data(n)
+        model = NetworkModel(seed=0)
+        reached = []
+        for i, layer in enumerate(model.layers):
+            for name in ("forward", "backward"):
+                def counted(*a, _m=getattr(layer, name), _key=(i, name), **k):
+                    reached.append(_key)
+                    return _m(*a, **k)
+                setattr(layer, name, counted)
+        model.loss_and_backward(x, y)
+        assert collections.Counter(reached) == {
+            (i, name): calls for i in range(len(model.layers))
+            for name in ("forward", "backward")}
+
+    def test_layers_keep_no_state_after_backward(self):
+        x, y = train_data(64)
+        model = NetworkModel(seed=0)
+        model.loss_and_backward(x, y)
+        assert [layer.state for layer in model.layers] == [{}] * 10
+        logits = model.forward(x[:5], train=True)
+        assert [list(layer.state) for layer in model.layers] == [[0]] * 10
+        _, grad = cross_entropy_loss(logits, y[:5])
+        for layer in reversed(model.layers):
+            grad = layer.backward(grad)
+        assert [layer.state for layer in model.layers] == [{}] * 10
 
 
 class TestTrainInputs:
@@ -389,4 +420,9 @@ class TestCheckpoint:
             path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8),
             **arrays)
         with pytest.raises(DimensionError, match="param_0"):
+            load_checkpoint(path)
+
+    def test_broken_checkpoint_raises_typed_error(self, broken_checkpoint):
+        path, error = broken_checkpoint
+        with pytest.raises(error, match="checkpoint"):
             load_checkpoint(path)

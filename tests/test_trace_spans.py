@@ -6,6 +6,7 @@ list no longer matches that list fails every traced benchmark run; this
 test makes it fail here first.
 """
 
+import collections
 import importlib.util
 import sys
 from pathlib import Path
@@ -49,6 +50,11 @@ def test_traced_calls_record_every_layer_span(monkeypatch):
     expected = {f"layers.{name}.{method}" for name in tracing.LAYER_NAMES
                 for method in ("forward", "backward")}
     assert expected <= recorded, sorted(expected - recorded)
+    # and runs both of its 8-image parts through the model's own layers
+    threads = collections.defaultdict(set)
+    for _, _, name, thread, _, _ in tracer.spans:
+        threads[name].add(thread)
+    assert sorted(name for name in expected if len(threads[name]) != 2) == []
     assert {"network.predict", "network.loss_and_backward",
             "analog.forward_batch.conv1",
             "analog.forward_batch.conv2"} <= recorded
