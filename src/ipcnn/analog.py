@@ -25,12 +25,13 @@ element, then scaled by the digital rescale.  A digital calibration
 estimates the path gains from one-hot probes and pre-compensates the
 programmed weights.
 
-Simulator state is immutable; forward passes are pure given (input, seed).
+Simulator state is immutable; forward passes are pure given (input,
+generator), and a noisy call without a generator raises InvalidSpecError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,11 +66,10 @@ class WeightProgramming:
 
 @dataclass(frozen=True)
 class AnalogFaultModel:
-    """Lumped noise level, per-path gains, and the RNG seed discipline."""
+    """Lumped noise level and per-path gains."""
 
     neop_dbc: float = -np.inf
     path_gains: np.ndarray | None = None  # (C_I, Q, C_O); None = all unity
-    seed: int = 0
 
     def __post_init__(self):
         # -inf is noise off; NaN, +inf and levels whose power ratio
@@ -109,7 +109,6 @@ IDEAL = AnalogFaultModel()
 @dataclass(frozen=True)
 class CalibrationTable:
     estimated_gains: np.ndarray  # (C_I, Q, C_O)
-    probe_count: int
     residual: float  # max relative deviation of a calibrated all-ones probe
 
 
@@ -139,8 +138,8 @@ def forward_batch(
     Computes rescale * (im2col(x) @ (gains * settings)) plus one Gaussian
     draw of std ``output_noise_std`` per output element: the sum of the Q
     independent branch noises at each valid time step.  The draw is one
-    ``rng.normal(0.0, std, size=(B*V*V, C_O))`` call.  ``rng`` defaults to
-    a generator seeded from ``faults.seed``.
+    ``rng.normal(0.0, std, size=(B*V*V, C_O))`` call; a noisy call
+    without ``rng`` raises InvalidSpecError.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 4 or images.shape[1:] != (
@@ -156,15 +155,15 @@ def forward_batch(
         raise EncodingError(
             "negative image values cannot be intensity-encoded"
         )
+    std = output_noise_std(programming, spec, faults)
+    if std > 0 and rng is None:
+        raise InvalidSpecError("a noisy analog call needs a generator (rng)")
 
     cols, dims = im2col(images, spec.sigma)             # (B*V*V, C_I*Q)
     eff = faults.gains(spec) * programming.settings     # (C_I, Q, C_O)
     w_eff = programming.rescale * eff.reshape(spec.c_in * spec.q, spec.c_out)
     out = w_eff.T @ cols.T                              # (C_O, B*V*V)
-    std = output_noise_std(programming, spec, faults)
     if std > 0:
-        if rng is None:
-            rng = np.random.default_rng(faults.seed)
         # drawn as (B*V*V, C_O), the order a seed has always mapped to
         # output elements, and added transposed
         out += rng.normal(0.0, std, size=out.shape[::-1]).T
@@ -224,7 +223,8 @@ def probe_path_responses(
     noiseless branch response at every valid time step is exactly the path
     gain.  With noise, each probe is the mean over ``repeats`` runs times
     the V^2 valid samples of one run; the mean of that many independent
-    Gaussian draws is sampled directly.
+    Gaussian draws is sampled directly from ``rng``, which a noisy call
+    needs.
     """
     if repeats < 1:
         raise InvalidSpecError(f"repeats must be >= 1, got {repeats}")
@@ -233,19 +233,9 @@ def probe_path_responses(
     if sigma_n == 0:
         return gains.copy()
     if rng is None:
-        rng = np.random.default_rng(faults.seed)
+        raise InvalidSpecError("a noisy analog call needs a generator (rng)")
     n_avg = repeats * spec.valid_width ** 2
     return gains + rng.normal(0.0, sigma_n / np.sqrt(n_avg), size=gains.shape)
-
-
-def measure_imbalance(spec: ConvLayerSpec, faults: AnalogFaultModel) -> float:
-    """Realized imbalance level: 10 log10(max/min) over noiseless probes."""
-    responses = probe_path_responses(spec, replace(faults, neop_dbc=-np.inf))
-    if np.min(responses) <= 0:
-        raise DegenerateHardwareError(
-            "non-positive probe response; cannot define an imbalance level"
-        )
-    return float(10 * np.log10(responses.max() / responses.min()))
 
 
 def calibrate(
@@ -260,11 +250,7 @@ def calibrate(
         raise DegenerateHardwareError("zero or negative probe response")
     true_gains = faults.gains(spec)
     residual = float(np.max(np.abs(true_gains / measured - 1.0)))
-    return CalibrationTable(
-        estimated_gains=measured,
-        probe_count=measured.size * repeats,
-        residual=residual,
-    )
+    return CalibrationTable(estimated_gains=measured, residual=residual)
 
 
 def apply_calibration(

@@ -3,9 +3,10 @@
 Each convolutional layer of the trained network is mapped to its own
 analog hardware instance (own path gains, own probes); the zero padding
 the digital layer uses is applied to the input image before intensity
-encoding, so the optical layer itself stays stride-1/pad-free.  Noise and
-per-trial imbalance draws are derived from a single base seed, making any
-report exactly reproducible.
+encoding, so the optical layer itself stays stride-1/pad-free.  Every
+noise, imbalance and probe draw comes from one seed tree, rooted at the
+inference seed (see ``build_photonic_setups`` and ``infer_hybrid``), making
+any report exactly reproducible.
 
 ``hybrid_forward`` is the model's own inference walk with the analog
 convs standing in for its conv layers; its detection noise is a function
@@ -32,15 +33,14 @@ from .analog import (
 from .conv_math import ConvLayerSpec
 from .errors import DimensionError, InvalidSpecError
 from .layers import Conv2D, MaxPool2, pad_hw
-from .network import NetworkModel, check_labels
+from .network import IMAGE_WIDTH, NetworkModel, check_labels
 
 
 @dataclass(frozen=True)
 class InferenceReport:
     accuracy: float
-    confusion: np.ndarray          # (10, 10): rows true class, cols predicted
+    confusion: np.ndarray  # rows true class, cols predicted
     n_samples: int
-    seed: int
     fault_config: dict
 
 
@@ -60,7 +60,6 @@ def build_photonic_setups(
     calibration: bool = False,
     seed: int = 0,
     probe_repeats: int = 1,
-    image_width: int = 28,
 ) -> list[PhotonicLayerSetup]:
     """Program each conv layer onto faulted analog hardware.
 
@@ -68,7 +67,7 @@ def build_photonic_setups(
     conv layer takes the next two children of ``seed`` (imbalance, probes).
     """
     ss = np.random.SeedSequence(seed)
-    setups, width = [], image_width
+    setups, width = [], IMAGE_WIDTH
     for layer in model.layers:
         if isinstance(layer, MaxPool2):
             width //= 2
@@ -82,7 +81,7 @@ def build_photonic_setups(
         # raises
         gains = (sample_imbalance(spec, imbalance_db, imbalance_seed)
                  if imbalance_db != 0 else None)
-        faults = AnalogFaultModel(neop_dbc=neop_dbc, path_gains=gains, seed=seed)
+        faults = AnalogFaultModel(neop_dbc=neop_dbc, path_gains=gains)
         # kernel tensor wants [u][v][i][j]; digital conv stores [v][u][i][j]
         programming = program_weights(layer.w.transpose(1, 0, 2, 3), spec)
         if calibration:
@@ -128,7 +127,8 @@ def hybrid_forward(
     noise_rng: np.random.Generator,
     batch_size: int = 128,
 ) -> np.ndarray:
-    """Logits of the hybrid network over a batch of (N, 28, 28) images.
+    """Logits of the hybrid network over a batch of (N, 28, 28) images;
+    raises DimensionError for any other shape.
 
     ``setups`` holds one setup per conv layer of ``model``.  An empty batch
     gives an empty (0, n_classes) array.  The images take the model's own
@@ -143,6 +143,9 @@ def hybrid_forward(
     A noisy call runs the odd-numbered batches on one helper thread, joined
     before it returns or raises; a noiseless or one-batch call starts none.
     """
+    if images.shape[1:] != (IMAGE_WIDTH, IMAGE_WIDTH):
+        raise DimensionError(f"images of shape {images.shape} != "
+                             f"(N, {IMAGE_WIDTH}, {IMAGE_WIDTH})")
     if len(setups) != len(model.conv_layers):
         raise DimensionError(f"{len(setups)} setups for "
                              f"{len(model.conv_layers)} conv layers")
@@ -161,12 +164,6 @@ def hybrid_forward(
                 for s in setups)
     return model.logits(images[:, None, :, :], batch_size, conv,
                         "ipcnn-hybrid" if noisy else None)
-
-
-def _confusion(labels: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    conf = np.zeros((10, 10), dtype=np.int64)
-    np.add.at(conf, (labels, preds), 1)
-    return conf
 
 
 def infer_hybrid(
@@ -195,11 +192,12 @@ def infer_hybrid(
                             batch_size=batch_size)
     preds = logits.argmax(axis=1)
     accuracy = float(np.mean(preds == labels)) if len(preds) else float("nan")
+    confusion = np.zeros((model.n_classes,) * 2, dtype=np.int64)
+    np.add.at(confusion, (labels, preds), 1)
     return InferenceReport(
         accuracy=accuracy,
-        confusion=_confusion(labels, preds),
+        confusion=confusion,
         n_samples=len(labels),
-        seed=seed,
         fault_config={
             "neop_dbc": neop_dbc,
             "imbalance_db": imbalance_db,

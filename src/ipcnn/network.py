@@ -35,6 +35,9 @@ from .layers import (Conv2D, Dense, Flatten, GradBatch, Layer, MaxPool2,
 
 ARCH_VERSION = 1
 
+# Width (and height) of the model's square input images, MNIST's 28.
+IMAGE_WIDTH = 28
+
 # Images per block of an inference pass, digital or hybrid.  A block's
 # largest arrays (conv2's 14 MB lowering, conv1's 6.4 MB output) stay under
 # glibc's 32 MiB mmap ceiling, so they are reused from the heap instead of
@@ -62,12 +65,14 @@ def check_batch_size(batch_size) -> None:
 
 
 def check_labels(labels, n_images: int, n_classes: int) -> np.ndarray:
-    """The labels as an array; raises DimensionError unless there is one
-    per image, and InvalidSpecError unless each is an integer in
-    [0, ``n_classes``)."""
+    """The labels as an array; raises DimensionError unless they are a 1-D
+    array of one per image, and InvalidSpecError unless each is an integer
+    in [0, ``n_classes``)."""
     labels = np.asarray(labels)
-    if len(labels) != n_images:
-        raise DimensionError(f"{len(labels)} labels for {n_images} images")
+    if labels.shape != (n_images,):
+        raise DimensionError(
+            f"{labels.size} labels of shape {labels.shape} for {n_images} "
+            f"images; want a 1-D array of {n_images}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise InvalidSpecError(
             f"labels must be integers, got dtype {labels.dtype}")
@@ -162,7 +167,7 @@ class NetworkModel:
             ReLU(),
             MaxPool2(),
             Flatten(),
-            Dense(32 * 7 * 7, 512, rng=rng),
+            Dense(32 * (IMAGE_WIDTH // 4) ** 2, 512, rng=rng),
             ReLU(),
             Dense(512, 10, rng=rng),
         ]
@@ -212,6 +217,7 @@ class NetworkModel:
         full-batch arrays for the next call with as many images, and its
         helper thread takes the helper's share of each stage.  ``train``
         passes one to all its steps; without it each stage starts a thread.
+        A step that raises drops every layer's ``state`` before it does.
         """
         n = len(x)
         cut = SPLIT_ALIGN * ((n + SPLIT_ALIGN) // (2 * SPLIT_ALIGN))
@@ -231,10 +237,6 @@ class NetworkModel:
                     y = layer.forward(y, train=True, first=first, **extra)
                 logits[i] = y
 
-        run_on_two_threads(forward, range(len(parts)), "ipcnn-train",
-                           helper)
-        loss, grad = cross_entropy_loss(np.concatenate(logits), labels)
-
         def backward(part_ids):
             for i in part_ids:
                 g, first = grad[parts[i]], parts[i].start
@@ -243,8 +245,17 @@ class NetworkModel:
                 # nothing reads the gradient with respect to the input images
                 self.layers[0].backward(g, input_grad=False, first=first)
 
-        run_on_two_threads(backward, range(len(parts)), "ipcnn-train",
-                           helper)
+        try:
+            run_on_two_threads(forward, range(len(parts)), "ipcnn-train",
+                               helper)
+            loss, grad = cross_entropy_loss(np.concatenate(logits), labels)
+            run_on_two_threads(backward, range(len(parts)), "ipcnn-train",
+                               helper)
+        except BaseException:
+            # a pass cut short would leave its masks and GradBatches here
+            for layer in self.layers:
+                layer.state.clear()
+            raise
         reductions = sorted((batch for batch in batches if batch is not None),
                             key=GradBatch.gemm_size)
         groups = ([reductions[:-1], reductions[-1:]] if len(parts) > 1
@@ -288,17 +299,15 @@ class NetworkModel:
         run_on_two_threads(run, range(0, len(x), batch_size), thread)
         return out
 
-    def predict(self, x: np.ndarray,
-                batch_size: int = INFER_BLOCK) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted class per image: the argmax of ``logits``."""
-        return self.logits(x, batch_size).argmax(axis=1)
+        return self.logits(x).argmax(axis=1)
 
-    def accuracy(self, x: np.ndarray, labels: np.ndarray,
-                 batch_size: int = INFER_BLOCK) -> float:
+    def accuracy(self, x: np.ndarray, labels: np.ndarray) -> float:
         """Fraction of correct predictions; NaN for an empty batch.  Bad
         labels raise as in ``check_labels``."""
         labels = check_labels(labels, len(x), self.n_classes)
-        preds = self.predict(x, batch_size)
+        preds = self.predict(x)
         if len(preds) == 0:
             return float("nan")
         return float(np.mean(preds == labels))
@@ -375,7 +384,7 @@ def save_checkpoint(model: NetworkModel, path) -> None:
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 
-def load_checkpoint(path, seed: int = 0) -> NetworkModel:
+def load_checkpoint(path) -> NetworkModel:
     """The model saved at ``path`` by ``save_checkpoint``.
 
     Raises DimensionError for a checkpoint of another architecture
@@ -396,7 +405,7 @@ def load_checkpoint(path, seed: int = 0) -> NetworkModel:
                     f"checkpoint arch version {meta.get('arch_version')} "
                     f"!= {ARCH_VERSION}"
                 )
-            model = NetworkModel(seed=seed)
+            model = NetworkModel()
             for i, p in enumerate(model.parameters()):
                 stored = _entry(data, f"param_{i}")
                 if stored.shape != p.shape:

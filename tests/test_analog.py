@@ -10,7 +10,6 @@ from ipcnn.analog import (
     apply_calibration,
     calibrate,
     forward_batch,
-    measure_imbalance,
     probe_path_responses,
     program_weights,
     sample_imbalance,
@@ -145,9 +144,10 @@ class TestNoise:
         # variance 0.01 each, scaled by the digital rescale
         _, w = random_instance(11)
         prog = program_weights(w, SPEC)
-        faults = AnalogFaultModel(neop_dbc=-10.0, seed=11)
+        faults = AnalogFaultModel(neop_dbc=-10.0)
         x = np.zeros((200, SPEC.c_in, 8, 8))
-        out = forward_batch(x, prog, SPEC, faults)
+        out = forward_batch(x, prog, SPEC, faults,
+                            rng=np.random.default_rng(11))
         expected = SPEC.q * 0.1 ** 2 * prog.rescale ** 2
         assert out.size > 2e4
         assert abs(np.mean(out)) < 5 * np.sqrt(expected / out.size)
@@ -156,18 +156,21 @@ class TestNoise:
     def test_deterministic_given_seed(self):
         x, w = random_instance(8)
         prog = program_weights(w, SPEC)
-        faults = AnalogFaultModel(neop_dbc=-15.0, seed=42)
-        a = forward_batch(x[None], prog, SPEC, faults)[0]
-        b = forward_batch(x[None], prog, SPEC, faults)[0]
+        faults = AnalogFaultModel(neop_dbc=-15.0)
+        a = forward_batch(x[None], prog, SPEC, faults,
+                          rng=np.random.default_rng(42))[0]
+        b = forward_batch(x[None], prog, SPEC, faults,
+                          rng=np.random.default_rng(42))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         x, w = random_instance(9)
         prog = program_weights(w, SPEC)
-        a = forward_batch(
-            x[None], prog, SPEC, AnalogFaultModel(neop_dbc=-15.0, seed=1))[0]
-        b = forward_batch(
-            x[None], prog, SPEC, AnalogFaultModel(neop_dbc=-15.0, seed=2))[0]
+        faults = AnalogFaultModel(neop_dbc=-15.0)
+        a = forward_batch(x[None], prog, SPEC, faults,
+                          rng=np.random.default_rng(1))[0]
+        b = forward_batch(x[None], prog, SPEC, faults,
+                          rng=np.random.default_rng(2))[0]
         assert not np.array_equal(a, b)
 
     def test_output_noise_scales_with_rescale(self):
@@ -177,9 +180,11 @@ class TestNoise:
         w = rng.standard_normal((2, 3, 3, 3))
         small = program_weights(w, SPEC)
         big = program_weights(10 * w, SPEC)
-        faults = AnalogFaultModel(neop_dbc=-10.0, seed=5)
-        out_small = forward_batch(x, small, SPEC, faults)
-        out_big = forward_batch(x, big, SPEC, faults)
+        faults = AnalogFaultModel(neop_dbc=-10.0)
+        out_small = forward_batch(x, small, SPEC, faults,
+                                  rng=np.random.default_rng(5))
+        out_big = forward_batch(x, big, SPEC, faults,
+                                rng=np.random.default_rng(5))
         np.testing.assert_allclose(out_big, 10 * out_small, rtol=1e-12)
 
 
@@ -235,12 +240,6 @@ class TestImbalance:
     def test_zero_level_is_unity(self):
         np.testing.assert_array_equal(sample_imbalance(SPEC, 0.0, seed=0),
                                       np.ones((2, 9, 3)))
-
-    def test_measure_loop(self):
-        gains = sample_imbalance(SPEC, 10.0, seed=4)
-        faults = AnalogFaultModel(path_gains=gains)
-        assert measure_imbalance(SPEC, faults) == pytest.approx(10.0,
-                                                                abs=1e-9)
 
     def test_negative_level_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -306,7 +305,7 @@ class TestCalibration:
 
     def test_probe_averaging(self):
         # probe error shrinks like 1/sqrt(N averages)
-        faults = AnalogFaultModel(neop_dbc=-10.0, seed=9)
+        faults = AnalogFaultModel(neop_dbc=-10.0)
         rms = {}
         for repeats in (1, 16, 256):
             rng = np.random.default_rng(1234)
@@ -322,7 +321,7 @@ class TestCalibration:
     def test_noisy_calibration_accuracy(self):
         # 64 repeats over V^2 = 36 valid samples: gain error well under 1%
         gains = sample_imbalance(SPEC, 6.0, seed=12)
-        faults = AnalogFaultModel(neop_dbc=-10.0, path_gains=gains, seed=13)
+        faults = AnalogFaultModel(neop_dbc=-10.0, path_gains=gains)
         table = calibrate(SPEC, faults, repeats=64,
                           rng=np.random.default_rng(77))
         rel = np.abs(table.estimated_gains / gains - 1.0)
@@ -342,3 +341,21 @@ class TestCalibration:
     def test_invalid_repeats(self):
         with pytest.raises(InvalidSpecError):
             probe_path_responses(SPEC, IDEAL, repeats=0)
+
+
+class TestGenerator:
+    """A noisy draw takes the caller's generator; there is no fallback."""
+
+    NOISY = AnalogFaultModel(neop_dbc=-10.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda f: forward_batch(np.zeros((1, 2, 8, 8)),
+                                program_weights(random_instance(0)[1], SPEC),
+                                SPEC, f),
+        lambda f: probe_path_responses(SPEC, f),
+        lambda f: calibrate(SPEC, f, repeats=4),
+    ], ids=["forward_batch", "probe_path_responses", "calibrate"])
+    def test_noisy_call_needs_a_generator(self, call):
+        with pytest.raises(InvalidSpecError, match="generator"):
+            call(self.NOISY)
+        call(IDEAL)  # noiseless: no generator needed

@@ -512,22 +512,17 @@ class TestBadCounts:
         with pytest.raises(DimensionError, match="labels"):
             infer_hybrid(model, images[:6], labels[:5])
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_predict_batch_size(self, model, batch_size):
+    @pytest.mark.parametrize("n_images, batch_size", [(6, 0), (6, -1), (0, 0)])
+    def test_logits_batch_size(self, model, n_images, batch_size):
         with pytest.raises(InvalidSpecError, match="batch size"):
-            model.predict(np.zeros((6, 1, 28, 28)), batch_size=batch_size)
+            model.logits(np.zeros((n_images, 1, 28, 28)),
+                         batch_size=batch_size)
 
-    @pytest.mark.parametrize("n_images", [6, 0])
-    def test_accuracy_batch_size(self, model, n_images):
-        with pytest.raises(InvalidSpecError, match="batch size"):
-            model.accuracy(np.zeros((n_images, 1, 28, 28)),
-                           np.zeros(n_images, dtype=np.int64), batch_size=0)
-
-    @pytest.mark.parametrize("call", ["predict", "hybrid_forward", "train"])
+    @pytest.mark.parametrize("call", ["logits", "hybrid_forward", "train"])
     def test_non_integral_batch_size(self, model, call):
         images = np.zeros((6, 28, 28))
         run = {
-            "predict": lambda: model.predict(images[:, None], batch_size=2.5),
+            "logits": lambda: model.logits(images[:, None], batch_size=2.5),
             "hybrid_forward": lambda: hybrid_forward(
                 model, images, build_photonic_setups(model),
                 np.random.default_rng(0), batch_size=2.5),
@@ -556,6 +551,27 @@ class TestBadCounts:
     def test_accuracy_label_count(self, model):
         with pytest.raises(DimensionError, match="labels"):
             model.accuracy(np.zeros((6, 1, 28, 28)), np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("call", ["infer_hybrid", "accuracy", "train"])
+    def test_column_of_labels(self, model, samples, call):
+        # (n, 1) labels used to broadcast: a 6-image confusion matrix
+        # summed to 36, and train ran on an (n, n) loss
+        images, labels = samples[0][:6], samples[1][:6, None]
+        run = {
+            "infer_hybrid": lambda: infer_hybrid(model, images, labels),
+            "accuracy": lambda: model.accuracy(images[:, None], labels),
+            "train": lambda: train(NetworkModel(seed=0), images[:, None],
+                                   labels, Hyperparams(epochs=1)),
+        }[call]
+        with pytest.raises(DimensionError, match="1-D"):
+            run()
+
+    def test_hybrid_forward_image_shape(self, model):
+        # a channel axis used to end in a bare ValueError from pad_hw
+        with pytest.raises(DimensionError, match=r"\(N, 28, 28\)"):
+            hybrid_forward(model, np.zeros((4, 1, 28, 28)),
+                           build_photonic_setups(model),
+                           np.random.default_rng(0))
 
     @pytest.mark.parametrize("n_setups", [1, 3])
     def test_setup_count(self, model, n_setups):

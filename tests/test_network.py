@@ -327,6 +327,23 @@ class TestTrainingStep:
             grad = layer.backward(grad)
         assert [layer.state for layer in model.layers] == [{}] * 10
 
+    def test_layers_keep_no_state_after_a_raise(self):
+        # relu2 fails on the helper's part (images 8-15) after the caller's
+        # part has passed every layer: without the clean-up conv1 - conv2
+        # kept entries [0, 8] and the later layers [0]
+        x, y = train_data(16)
+        model = NetworkModel(seed=0)
+        relu2 = model.layers[4]
+
+        def forward(x, train=False, *, first=0, _forward=relu2.forward):
+            if first == 8:
+                raise RuntimeError("cut")
+            return _forward(x, train, first=first)
+        relu2.forward = forward
+        with pytest.raises(RuntimeError, match="cut"):
+            model.loss_and_backward(x, y)
+        assert [layer.state for layer in model.layers] == [{}] * 10
+
 
 class TestTrainInputs:
     @pytest.mark.parametrize("n_labels", [19, 21])
