@@ -492,7 +492,8 @@ class TestBlockedPredict:
 
 
 class TestBadCounts:
-    """Counts below 1 and mismatched labels raise typed errors."""
+    """Counts below 1 and mismatched labels raise typed errors; predict and
+    accuracy take no batch size, so theirs cannot be bad."""
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_hybrid_forward_batch_size(self, model, batch_size):
@@ -511,6 +512,23 @@ class TestBadCounts:
         images, labels = samples
         with pytest.raises(DimensionError, match="labels"):
             infer_hybrid(model, images[:6], labels[:5])
+
+    @pytest.mark.parametrize("n_images", [0, 12])
+    def test_predict_batch_size(self, model, samples, n_images):
+        # predict has no batch size of its own: its classes are those of
+        # logits walked one image at a time, and none for no images
+        images = samples[0][:n_images, None]
+        preds = model.predict(images)
+        assert preds.shape == (n_images,)
+        np.testing.assert_array_equal(
+            preds, model.logits(images, batch_size=1).argmax(axis=1))
+
+    @pytest.mark.parametrize("n_images", [6, 12])
+    def test_accuracy_batch_size(self, model, samples, n_images):
+        # likewise accuracy, which scores predict's classes
+        images, labels = samples[0][:n_images, None], samples[1][:n_images]
+        one_by_one = model.logits(images, batch_size=1).argmax(axis=1)
+        assert model.accuracy(images, labels) == np.mean(one_by_one == labels)
 
     @pytest.mark.parametrize("n_images, batch_size", [(6, 0), (6, -1), (0, 0)])
     def test_logits_batch_size(self, model, n_images, batch_size):
