@@ -25,6 +25,13 @@ element, then scaled by the digital rescale.  A digital calibration
 estimates the path gains from one-hot probes and pre-compensates the
 programmed weights.
 
+Every Gaussian value comes from ``standard_normal``: one
+``rng.random(..., dtype=np.float32)`` call turned into N(0, 1) values by
+the Box-Muller transform.  The values have float32 precision, and their
+magnitude is at most sqrt(2 ln 2**24) = 5.77, where a true Gaussian goes
+past with probability 8e-9 per value.  ``forward_batch`` makes one such
+call per image, in image order.
+
 Simulator state is immutable; forward passes are pure given (input,
 generator), and a noisy call without a generator raises InvalidSpecError.
 """
@@ -42,6 +49,7 @@ from .errors import (
     EncodingError,
     InfeasibleDesignError,
     InvalidSpecError,
+    check_count,
 )
 from .layers import im2col, rows_to_batch
 
@@ -136,9 +144,11 @@ def forward_batch(
     """Analog forward pass over a batch of images, shape (B, C_O, V, V).
 
     Computes rescale * (im2col(x) @ (gains * settings)) plus one Gaussian
-    draw of std ``output_noise_std`` per output element: the sum of the Q
-    independent branch noises at each valid time step.  The draw is one
-    ``rng.normal(0.0, std, size=(B*V*V, C_O))`` call; a noisy call
+    value of std ``output_noise_std`` per output element: the sum of the Q
+    independent branch noises at each valid time step.  Image b's values
+    are ``std * standard_normal(rng, C_O*V*V)``, one ``rng.random`` call
+    per image in image order, laid out as its (C_O, V, V) output; so they
+    have float32 precision and a tail cut at 5.77 std.  A noisy call
     without ``rng`` raises InvalidSpecError.
     """
     images = np.asarray(images, dtype=float)
@@ -164,10 +174,44 @@ def forward_batch(
     w_eff = programming.rescale * eff.reshape(spec.c_in * spec.q, spec.c_out)
     out = w_eff.T @ cols.T                              # (C_O, B*V*V)
     if std > 0:
-        # drawn as (B*V*V, C_O), the order a seed has always mapped to
-        # output elements, and added transposed
-        out += rng.normal(0.0, std, size=out.shape[::-1]).T
+        # each image's (C_O, V*V) columns take its draw while in cache;
+        # scaled in float64, which holds any std below the 3080 dBc cap
+        per_image = dims[1] * dims[2]
+        scaled = np.empty((spec.c_out, per_image))
+        for start in range(0, out.shape[1], per_image):
+            z = standard_normal(rng, scaled.size).reshape(scaled.shape)
+            np.multiply(z, std, out=scaled, dtype=np.float64)
+            out[:, start:start + per_image] += scaled
     return rows_to_batch(out, dims)
+
+
+def standard_normal(rng, n: int) -> np.ndarray:
+    """``n`` N(0, 1) values, float32, from one ``rng.random`` call.
+
+    Box & Muller (1958): ``(n + 1) // 2`` uniform pairs (u, t), drawn as
+    one ``rng.random(2 * ((n + 1) // 2), dtype=np.float32)`` call whose
+    first half is u, give the radius r = sqrt(-2 ln(1 - u)) and the angle
+    2 pi t; r cos and r sin of the angle are independent N(0, 1).  The
+    first half of the result is the cosines, the second the sines, and an
+    odd ``n`` drops the last sine.  Radius and angle are float32, so the
+    values have float32 precision; 1 - u is at least 2**-24, so no value
+    exceeds sqrt(2 ln 2**24) = 5.77 in magnitude, which a true Gaussian
+    does with probability 8e-9.  The generator's own state is the only
+    state.
+    """
+    half = (n + 1) // 2
+    u = rng.random(2 * half, dtype=np.float32)
+    radius, angle = u[:half], u[half:]
+    np.subtract(np.float32(1.0), radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= np.float32(-2.0)
+    np.sqrt(radius, out=radius)
+    angle *= np.float32(2 * np.pi)
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    np.multiply(cos, radius, out=radius)
+    return u[:n]
 
 
 def output_noise_std(
@@ -223,11 +267,11 @@ def probe_path_responses(
     noiseless branch response at every valid time step is exactly the path
     gain.  With noise, each probe is the mean over ``repeats`` runs times
     the V^2 valid samples of one run; the mean of that many independent
-    Gaussian draws is sampled directly from ``rng``, which a noisy call
-    needs.
+    Gaussian draws is sampled directly, one ``standard_normal`` value per
+    path from ``rng``, which a noisy call needs.  ``repeats`` must be an
+    integer >= 1.
     """
-    if repeats < 1:
-        raise InvalidSpecError(f"repeats must be >= 1, got {repeats}")
+    check_count("repeats", repeats)
     gains = faults.gains(spec)
     sigma_n = faults.noise_sigma(spec)
     if sigma_n == 0:
@@ -235,7 +279,8 @@ def probe_path_responses(
     if rng is None:
         raise InvalidSpecError("a noisy analog call needs a generator (rng)")
     n_avg = repeats * spec.valid_width ** 2
-    return gains + rng.normal(0.0, sigma_n / np.sqrt(n_avg), size=gains.shape)
+    z = standard_normal(rng, gains.size).reshape(gains.shape)
+    return gains + np.multiply(z, sigma_n / np.sqrt(n_avg), dtype=np.float64)
 
 
 def calibrate(

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import operator
 
 
 class IpcnnError(Exception):
@@ -36,3 +39,15 @@ class TrainingError(IpcnnError, RuntimeError):
 class CheckpointError(IpcnnError, OSError):
     """A file cannot be read as a checkpoint: not an .npz archive, cut
     short, or with metadata that is not a JSON object."""
+
+
+def check_count(name: str, value) -> None:
+    """Raise InvalidSpecError unless ``value`` is an integer >= 1; a float
+    such as 2.0 or 1.5 is not one."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidSpecError(
+            f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise InvalidSpecError(f"{name} must be >= 1, got {value}")

@@ -10,11 +10,15 @@ any report exactly reproducible.
 
 ``hybrid_forward`` is the model's own inference walk with the analog
 convs standing in for its conv layers; its detection noise is a function
-of (seed, conv, image).
+of (seed, conv, image): an image's noise at a conv is the single
+``analog.standard_normal`` draw, one ``random`` call, that
+``forward_batch`` makes for it, answered by the generator keyed by
+(root, conv, image).
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +35,7 @@ from .analog import (
     sample_imbalance,
 )
 from .conv_math import ConvLayerSpec
-from .errors import DimensionError, InvalidSpecError
+from .errors import DimensionError, check_count
 from .layers import Conv2D, MaxPool2, pad_hw
 from .network import IMAGE_WIDTH, NetworkModel, check_labels
 
@@ -65,7 +69,9 @@ def build_photonic_setups(
 
     One walk over the layers: each pooling halves the image width, and each
     conv layer takes the next two children of ``seed`` (imbalance, probes).
+    ``probe_repeats`` must be an integer >= 1, calibrated or not.
     """
+    check_count("probe_repeats", probe_repeats)
     ss = np.random.SeedSequence(seed)
     setups, width = [], IMAGE_WIDTH
     for layer in model.layers:
@@ -98,26 +104,17 @@ def build_photonic_setups(
 class _KeyedNoise:
     """Stands in for ``forward_batch``'s generator over one block of images.
 
-    ``normal(loc, scale, size)`` fills the ``per_image`` rows of image
-    ``first + i`` from ``default_rng([root, conv, first + i])`` as one
-    ``Generator.normal`` call would, whatever block, batch or thread draws
-    it, and returns the transposed view of a (cols, rows) buffer, which
-    ``forward_batch``'s transposed add reads contiguously.
+    ``forward_batch`` makes one ``random`` call per image, in image order;
+    the n-th call here is answered by ``default_rng([root, conv, first +
+    n])``, whatever block, batch or thread makes it.
     """
 
-    def __init__(self, root: int, conv: int, first: int, per_image: int):
-        self._key, self._first, self._per_image = (root, conv), first, per_image
+    def __init__(self, root: int, conv: int, first: int):
+        self._key, self._images = (root, conv), itertools.count(first)
 
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        rows, cols = size
-        buf, z = np.empty((cols, rows)), np.empty((self._per_image, cols))
-        for i, r0 in enumerate(range(0, rows, self._per_image)):
-            rng = np.random.default_rng([*self._key, self._first + i])
-            rng.standard_normal(out=z)
-            np.multiply(z.T, scale, out=buf[:, r0:r0 + self._per_image])
-        if loc:
-            buf += loc
-        return buf.T
+    def random(self, size=None, dtype=np.float64) -> np.ndarray:
+        rng = np.random.default_rng([*self._key, next(self._images)])
+        return rng.random(size, dtype=dtype)
 
 
 def hybrid_forward(
@@ -155,8 +152,7 @@ def hybrid_forward(
         s = setups[k]
         # looked up at call time, so a patched ``hybrid.forward_batch`` runs
         y = forward_batch(pad_hw(x, s.pad), s.programming, s.spec, s.faults,
-                          rng=_KeyedNoise(root, k, first,
-                                          s.spec.valid_width ** 2))
+                          rng=_KeyedNoise(root, k, first))
         y += s.bias[None, :, None, None]
         return y
 
@@ -241,9 +237,9 @@ def sweep_imbalance(
     batch_size: int = 128,
     threads: int = 1,
 ) -> list[dict]:
-    """Box-plot statistics of accuracy over fresh imbalance draws per level."""
-    if trials < 1:
-        raise InvalidSpecError(f"trials must be >= 1, got {trials}")
+    """Box-plot statistics of accuracy over fresh imbalance draws per level;
+    ``trials`` must be an integer >= 1."""
+    check_count("trials", trials)
     jobs = [(li, t) for li in range(len(levels_db)) for t in range(trials)]
 
     def run(job):

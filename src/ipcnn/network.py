@@ -20,7 +20,6 @@ import contextlib
 import contextvars
 import hashlib
 import json
-import operator
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CheckpointError, DimensionError, InvalidSpecError,
-                     IpcnnError, TrainingError)
+                     IpcnnError, TrainingError, check_count)
 from .layers import (Conv2D, Dense, Flatten, GradBatch, Layer, MaxPool2,
                      ReLU, cross_entropy_loss)
 
@@ -51,17 +50,6 @@ INFER_BLOCK = 32
 # odd number of images changed conv2's forward bits.  At conv2 a multiple
 # of 8 images is a multiple of 32 columns.
 SPLIT_ALIGN = 8
-
-
-def check_batch_size(batch_size) -> None:
-    """Raise InvalidSpecError unless the batch size is an integer >= 1."""
-    try:
-        operator.index(batch_size)
-    except TypeError:
-        raise InvalidSpecError(
-            f"batch size must be an integer, got {batch_size!r}") from None
-    if batch_size < 1:
-        raise InvalidSpecError(f"batch size must be >= 1, got {batch_size}")
 
 
 def check_labels(labels, n_images: int, n_classes: int) -> np.ndarray:
@@ -145,13 +133,12 @@ class Hyperparams:
     seed: int = 0
 
     def validate(self):
-        if self.epochs < 1:
-            raise InvalidSpecError(f"epochs must be >= 1, got {self.epochs}")
+        check_count("epochs", self.epochs)
         if self.learning_rate <= 0:
             raise InvalidSpecError(f"learning rate must be > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise InvalidSpecError(f"momentum must be in [0, 1), got {self.momentum}")
-        check_batch_size(self.batch_size)
+        check_count("batch size", self.batch_size)
 
 
 class NetworkModel:
@@ -281,7 +268,7 @@ class NetworkModel:
         block's k-th conv is ``conv(k, block, first)``, where ``first`` is
         the index in ``x`` of the block's first image.
         """
-        check_batch_size(batch_size)
+        check_count("batch size", batch_size)
         out = np.empty((len(x), self.n_classes))
 
         def run(batch_starts):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from ipcnn.analog import (
     probe_path_responses,
     program_weights,
     sample_imbalance,
+    standard_normal,
 )
 from ipcnn.conv_math import (
     ConvLayerSpec,
@@ -342,6 +345,16 @@ class TestCalibration:
         with pytest.raises(InvalidSpecError):
             probe_path_responses(SPEC, IDEAL, repeats=0)
 
+    @pytest.mark.parametrize("repeats", [1.5, 2.0])
+    @pytest.mark.parametrize("call", [probe_path_responses, calibrate],
+                             ids=["probe_path_responses", "calibrate"])
+    def test_non_integral_repeats(self, call, repeats):
+        # 1.5 used to average the probe noise over 1.5 * V^2 samples
+        faults = AnalogFaultModel(neop_dbc=-10.0)
+        with pytest.raises(InvalidSpecError, match="repeats must be an int"):
+            call(SPEC, faults, repeats=repeats,
+                 rng=np.random.default_rng(0))
+
 
 class TestGenerator:
     """A noisy draw takes the caller's generator; there is no fallback."""
@@ -359,3 +372,120 @@ class TestGenerator:
         with pytest.raises(InvalidSpecError, match="generator"):
             call(self.NOISY)
         call(IDEAL)  # noiseless: no generator needed
+
+
+class CountingGenerator:
+    """A generator that records the size of every ``random`` call."""
+
+    def __init__(self, seed):
+        self._rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size=None, dtype=np.float64):
+        self.sizes.append(size)
+        return self._rng.random(size, dtype=dtype)
+
+
+class FixedUniforms:
+    """Answers every ``random`` call with one float32 value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None, dtype=np.float64):
+        return np.full(size, self.value, dtype=dtype)
+
+
+class TestStandardNormal:
+    """The Box-Muller sampler behind every Gaussian value, at fixed seeds."""
+
+    # sqrt(2 ln 2**24): the radius when 1 - u is float32's 2**-24
+    BOUND = math.sqrt(2 * math.log(2 ** 24))
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return standard_normal(np.random.default_rng(20), 2_000_001)
+
+    def test_moments(self, draws):
+        # bounds at 5 standard errors of 2e6 Gaussian values: the mean's
+        # 1/sqrt(n), the variance's sqrt(2/n), the excess kurtosis's
+        # sqrt(24/n)
+        n = draws.size
+        z = draws.astype(np.float64)
+        mean, var = z.mean(), z.var()
+        kurtosis = np.mean((z - mean) ** 4) / var ** 2 - 3.0
+        assert draws.dtype == np.float32 and n == 2_000_001
+        assert abs(mean) < 5 / math.sqrt(n)
+        assert abs(var - 1.0) < 5 * math.sqrt(2 / n)
+        assert abs(kurtosis) < 5 * math.sqrt(24 / n)
+
+    def test_kolmogorov_smirnov_distance(self, draws):
+        # the 0.1 % critical distance is 1.95 / sqrt(n)
+        z = np.sort(draws.astype(np.float64))
+        phi = np.frompyfunc(lambda x: 0.5 * math.erfc(-x / math.sqrt(2)),
+                            1, 1)(z).astype(np.float64)
+        n = z.size
+        steps = np.arange(1, n + 1) / n
+        distance = max(np.max(steps - phi), np.max(phi - (steps - 1 / n)))
+        assert distance < 1.95 / math.sqrt(n)
+
+    def test_no_value_beyond_the_bound(self, draws):
+        assert np.max(np.abs(draws)) <= self.BOUND
+
+    @pytest.mark.parametrize("u", [0.0, np.float32(1 - 2 ** -24)],
+                             ids=["zero", "largest"])
+    def test_extreme_uniforms(self, u):
+        # u = 0 gives radius 0; float32's largest uniform gives the bound,
+        # at angle 2 pi (1 - 2**-24), so the cosine value is the bound
+        z = standard_normal(FixedUniforms(u), 4)
+        assert np.all(np.isfinite(z))
+        if u == 0:
+            np.testing.assert_array_equal(z, 0.0)
+        else:
+            assert z[0] == pytest.approx(self.BOUND, rel=1e-6)
+            assert np.max(np.abs(z)) <= self.BOUND
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 10])
+    def test_one_call_per_draw(self, n):
+        # an odd count takes one more uniform than it returns
+        rng = CountingGenerator(3)
+        z = standard_normal(rng, n)
+        assert z.shape == (n,) and rng.sizes == [n + n % 2]
+        np.testing.assert_array_equal(
+            standard_normal(np.random.default_rng(3), n), z)
+
+    def test_odd_count_per_image(self):
+        # c_out = 1 and a 3x3 valid output: 9 values per image, each image
+        # one call of 10 uniforms, in image order
+        spec = ConvLayerSpec(c_in=1, c_out=1, sigma=3, image_width=5)
+        programming = program_weights(np.ones((1, 1, 3, 3)), spec)
+        faults = AnalogFaultModel(neop_dbc=-10.0)
+        x = np.random.default_rng(4).random((3, 1, 5, 5))
+        rng = CountingGenerator(5)
+        noisy = forward_batch(x, programming, spec, faults, rng=rng)
+        clean = forward_batch(x, programming, spec, IDEAL)
+        assert rng.sizes == [10, 10, 10]
+        std = programming.rescale * faults.noise_sigma(spec) * 3.0
+        reference = np.random.default_rng(5)
+        for image in range(3):
+            draw = standard_normal(reference, 9).reshape(1, 3, 3)
+            np.testing.assert_array_equal(
+                noisy[image], clean[image] + std * draw.astype(np.float64))
+
+    def test_zero_image_block(self):
+        spec = ConvLayerSpec(c_in=2, c_out=3, sigma=3, image_width=8)
+        programming = program_weights(random_instance(0)[1], spec)
+        rng = CountingGenerator(0)
+        out = forward_batch(np.zeros((0, 2, 8, 8)), programming, spec,
+                            AnalogFaultModel(neop_dbc=-10.0), rng=rng)
+        assert out.shape == (0, 3, 6, 6) and rng.sizes == []
+
+    def test_probe_noise_is_one_draw(self):
+        faults = AnalogFaultModel(neop_dbc=-10.0)
+        rng = CountingGenerator(6)
+        measured = probe_path_responses(SPEC, faults, rng=rng, repeats=4)
+        assert rng.sizes == [SPEC.c_in * SPEC.q * SPEC.c_out]
+        z = standard_normal(np.random.default_rng(6), measured.size)
+        scale = faults.noise_sigma(SPEC) / np.sqrt(4 * SPEC.valid_width ** 2)
+        np.testing.assert_array_equal(
+            measured, 1.0 + scale * z.astype(np.float64).reshape(
+                measured.shape))

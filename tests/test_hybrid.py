@@ -8,7 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ipcnn.analog import MAX_IMBALANCE_DB, forward_batch, output_noise_std
+from ipcnn.analog import (MAX_IMBALANCE_DB, forward_batch, output_noise_std,
+                          standard_normal)
 from ipcnn.conv_math import ConvLayerSpec
 from ipcnn import hybrid
 from ipcnn.errors import DimensionError, EncodingError, InvalidSpecError
@@ -32,10 +33,9 @@ def serial_forward(model, images, setups, rng, batch_size=128):
     """Reference route: whole batches, no blocks, no threads.
 
     Each conv runs noiseless over the whole batch, and then gets image
-    ``n``'s noise added from its own ``Generator.normal`` call on
-    ``default_rng([root, conv, n])``, drawn as (V*V, C_O) and mapped to
-    output (channel, pixel) as ``forward_batch`` maps its draw.  ``root``
-    is the first integer drawn from ``rng``.
+    ``n``'s noise added: ``std`` times one ``standard_normal`` draw from
+    ``default_rng([root, conv, n])``, laid out as the image's (C_O, V, V)
+    output.  ``root`` is the first integer drawn from ``rng``.
     """
     root = int(rng.integers(2 ** 63))
     logits = []
@@ -53,13 +53,12 @@ def serial_forward(model, images, setups, rng, batch_size=128):
             std = output_noise_std(setup.programming, setup.spec,
                                    setup.faults)
             if std > 0:
-                v, c_out = setup.spec.valid_width, setup.spec.c_out
                 noise = np.stack([
-                    np.random.default_rng([root, conv, start + i]).normal(
-                        0.0, std, size=(v * v, c_out))
+                    standard_normal(
+                        np.random.default_rng([root, conv, start + i]),
+                        x[0].size).reshape(x[0].shape)
                     for i in range(len(x))])
-                x = x + noise.reshape(len(x), v, v, c_out).transpose(
-                    0, 3, 1, 2)
+                x = x + std * noise.astype(np.float64)
             x += setup.bias[None, :, None, None]
             conv += 1
         logits.append(x)
@@ -160,9 +159,11 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
     def test_noisy_logits_bytes_pinned(self):
-        # re-recorded when noise became keyed per (seed, conv, image): both
-        # the noise stream and the GEMM sums are in these bytes (OpenBLAS
-        # 0.3.31, AVX-512 x86-64)
+        # re-recorded when the noise became one Box-Muller draw per
+        # (seed, conv, image): both the noise values and the GEMM sums are
+        # in these bytes.  numpy picks its float32 log, sin and cos loops by
+        # CPU feature, as OpenBLAS picks its kernels (OpenBLAS 0.3.31,
+        # numpy 2.4, AVX-512 x86-64)
         model = NetworkModel(seed=4)
         images = np.random.default_rng(5).random((16, 28, 28))
         setups = build_photonic_setups(model, neop_dbc=-10.0, seed=6)
@@ -170,9 +171,10 @@ class TestDeterminism:
                                 np.random.default_rng(7))
         assert logits.dtype == np.float64 and logits.shape == (16, 10)
         assert hashlib.sha256(logits.tobytes()).hexdigest() == (
-            "53621e981058d116b2a33ec239e7638a465a47d4bff7afb6d9fb3533c78295fd"
-        ), ("pinned on OpenBLAS 0.3.31, AVX-512 x86-64: on another BLAS "
-            "build or CPU a mismatch may be the environment, not the code")
+            "3abaaa311e156e690d1437e9066850d310c26854dd3bb6f92a6e2eb485d6536a"
+        ), ("pinned on OpenBLAS 0.3.31, numpy 2.4, AVX-512 x86-64: on "
+            "another BLAS or numpy build or CPU a mismatch may be the "
+            "environment, not the code")
 
     def test_fault_config_recorded(self, model, samples):
         images, labels = samples
@@ -340,19 +342,20 @@ class TestNoiseAhead:
         assert subset.tobytes() == full[:40].tobytes()
 
     def test_image_noise_comes_from_its_key(self):
-        # zero input: image n's conv output is default_rng([root, conv, n])'s
-        # draw, pixel-major, one column per output channel
+        # zero input: image n's conv output is std times the
+        # standard_normal draw of default_rng([root, conv, n]), laid out as
+        # the image's (C_O, V, V) output
         model = NetworkModel(seed=1)
         setup = build_photonic_setups(model, neop_dbc=-10.0)[1]
         x = np.zeros((5, 32, 16, 16))
         out = forward_batch(x, setup.programming, setup.spec, setup.faults,
-                            rng=hybrid._KeyedNoise(7, 1, 40, 14 * 14))
+                            rng=hybrid._KeyedNoise(7, 1, 40))
         std = output_noise_std(setup.programming, setup.spec, setup.faults)
         for i in range(5):
-            draw = np.random.default_rng([7, 1, 40 + i]).normal(
-                0.0, std, size=(14 * 14, 32))
+            draw = standard_normal(np.random.default_rng([7, 1, 40 + i]),
+                                   32 * 14 * 14)
             np.testing.assert_array_equal(
-                out[i], draw.T.reshape(32, 14, 14))
+                out[i], std * draw.astype(np.float64).reshape(32, 14, 14))
 
     def test_conv1_noise_moments_per_channel(self, model):
         # zero input to conv1: each output channel's noise has mean 0 and
@@ -362,8 +365,7 @@ class TestNoiseAhead:
         spec = setup.spec
         x = np.zeros((32, 1, spec.image_width, spec.image_width))
         out = forward_batch(x, setup.programming, spec, setup.faults,
-                            rng=hybrid._KeyedNoise(
-                                2024, 0, 0, spec.valid_width ** 2))
+                            rng=hybrid._KeyedNoise(2024, 0, 0))
         expected = (spec.q * setup.faults.noise_sigma(spec) ** 2
                     * setup.programming.rescale ** 2)
         per_channel = out.transpose(1, 0, 2, 3).reshape(spec.c_out, -1)
@@ -376,6 +378,22 @@ class TestNoiseAhead:
         # images draw independent noise: neighbours are uncorrelated
         corr = np.corrcoef(out[0].ravel(), out[1].ravel())[0, 1]
         assert abs(corr) < 5 / np.sqrt(out[0].size)
+
+    def test_neighbouring_keys_uncorrelated(self):
+        # the n-th call of one _KeyedNoise is image first + n's key; the
+        # draws of neighbouring images, and of one image at the two convs,
+        # correlate no more than independent values do (5 standard errors)
+        size = 32 * 28 * 28
+        conv1, conv2 = (hybrid._KeyedNoise(2024, k, 100) for k in (0, 1))
+        draws = [standard_normal(conv1, size) for _ in range(9)]
+        pairs = list(zip(draws, draws[1:]))
+        pairs.append((draws[0], standard_normal(conv2, size)))
+        for a, b in pairs:
+            corr = np.corrcoef(a.astype(np.float64), b.astype(np.float64))
+            assert abs(corr[0, 1]) < 5 / np.sqrt(size)
+        np.testing.assert_array_equal(
+            draws[3], standard_normal(np.random.default_rng([2024, 0, 103]),
+                                      size))
 
     def test_concurrent_calls_under_fast_switching(self, model):
         # four callers, each with its own helper, on a 2-core host; a
@@ -603,3 +621,26 @@ class TestBadCounts:
         images, labels = samples
         with pytest.raises(InvalidSpecError, match="trials"):
             sweep_imbalance(model, images, labels, [6.0], trials=0)
+
+    @pytest.mark.parametrize("call", [
+        "sweep_imbalance-trials", "infer_hybrid-probe_repeats",
+        "infer_hybrid-probe_repeats-calibrated", "train-epochs"])
+    def test_non_integral_count(self, model, samples, call):
+        # trials=2.5 used to end in a bare TypeError from range, and
+        # probe_repeats=1.5 to average probe noise over 1.5 * V^2 samples
+        images, labels = samples[0][:6], samples[1][:6]
+        run = {
+            "sweep_imbalance-trials": lambda: sweep_imbalance(
+                model, images, labels, [6.0], trials=2.5),
+            "infer_hybrid-probe_repeats": lambda: infer_hybrid(
+                model, images, labels, probe_repeats=1.5),
+            "infer_hybrid-probe_repeats-calibrated": lambda: infer_hybrid(
+                model, images, labels, neop_dbc=-10.0, imbalance_db=4.0,
+                calibration=True, probe_repeats=1.5),
+            "train-epochs": lambda: train(
+                NetworkModel(seed=0), images[:, None], labels,
+                Hyperparams(epochs=1.5)),
+        }[call]
+        name = call.split("-")[1]
+        with pytest.raises(InvalidSpecError, match=f"{name} must be an int"):
+            run()

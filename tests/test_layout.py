@@ -11,7 +11,7 @@ Three things hold:
 - Memory order never changes a value.  Every case runs on C-order arrays
   and on the same values in channel-major memory, and the two give the
   same bits.
-- Lowering, padding, pooling, the bias gradient and the noise stream
+- Lowering, padding, pooling, the bias gradient and the noise values
   involve no GEMM and equal the references bit for bit.
 - A GEMM's rounding can depend on the memory layout of its operands: a
   BLAS may pick another kernel, and so another summation order, for an
@@ -36,6 +36,7 @@ from ipcnn.analog import (
     forward_batch,
     program_weights,
     sample_imbalance,
+    standard_normal,
 )
 from ipcnn.conv_math import ConvLayerSpec
 from ipcnn.layers import Conv2D, MaxPool2, im2col, pad_hw
@@ -97,8 +98,11 @@ def nchw_forward_batch(images, programming, spec, faults, rng):
     out = cols @ (rescale * eff.reshape(spec.c_in * spec.q, spec.c_out))
     sigma_n = faults.noise_sigma(spec)
     if sigma_n > 0:
-        out += rng.normal(0.0, rescale * sigma_n * np.sqrt(spec.q),
-                          size=out.shape)
+        # image by image, one standard_normal draw in (C_O, V*V) order
+        noise = np.stack([standard_normal(rng, out.size // b)
+                          for _ in range(b)])
+        out += (rescale * sigma_n * np.sqrt(spec.q)) * noise.reshape(
+            b, spec.c_out, v_h * v_w).transpose(0, 2, 1).reshape(out.shape)
     return out.reshape(b, v_h, v_w, spec.c_out).transpose(0, 3, 1, 2)
 
 
@@ -336,12 +340,14 @@ class TestAnalogForward:
                                       rng=np.random.default_rng(seed)),
                         noisy)
 
-        # the noise: one draw of shape (B*V*V, C_O), in the NCHW route's order
+        # the noise: one standard_normal draw per image, in image order,
+        # laid out as the image's (C_O, V, V) output
         v = width - sigma + 1
-        draws = np.random.default_rng(seed).normal(
-            0.0, programming.rescale * faults.noise_sigma(spec)
-            * np.sqrt(spec.q), size=(batch * v * v, c_out))
-        noise = draws.reshape(batch, v, v, c_out).transpose(0, 3, 1, 2)
+        rng = np.random.default_rng(seed)
+        draws = np.stack([standard_normal(rng, c_out * v * v)
+                          for _ in range(batch)])
+        noise = (programming.rescale * faults.noise_sigma(spec)
+                 * np.sqrt(spec.q)) * draws.reshape(batch, c_out, v, v)
         assert_same(noisy, clean + noise)
 
         magnitude = nchw_forward_batch(

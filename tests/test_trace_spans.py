@@ -58,3 +58,23 @@ def test_traced_calls_record_every_layer_span(monkeypatch):
     assert {"network.predict", "network.loss_and_backward",
             "analog.forward_batch.conv1",
             "analog.forward_batch.conv2"} <= recorded
+
+
+def test_traced_noise_draws_count_every_value(monkeypatch):
+    # the traced run counts the values each call on forward_batch's
+    # generator returns; a sampler that went round those calls would read
+    # zero here instead of one value per noisy output element:
+    # sum over the convs of V_k^2 * C_O, 28^2 * 32 + 14^2 * 32 = 31,360
+    tracing = load_tracing(monkeypatch)
+    model = NetworkModel(seed=0)
+    images = np.random.default_rng(0).random((5, 28, 28))
+    setups = hybrid.build_photonic_setups(model, neop_dbc=-10.0)
+    per_image = sum(s.spec.valid_width ** 2 * s.spec.c_out for s in setups)
+    assert per_image == 31_360
+    modules = {"hybrid": hybrid, "network": network, "verify": verify,
+               "design_space": design_space}
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer, modules, [model]):
+        hybrid.hybrid_forward(model, images, setups, np.random.default_rng(1),
+                              batch_size=2)
+    assert tracer.counts["noise_draws"] == len(images) * per_image
