@@ -25,12 +25,17 @@ element, then scaled by the digital rescale.  A digital calibration
 estimates the path gains from one-hot probes and pre-compensates the
 programmed weights.
 
-Every Gaussian value comes from ``standard_normal``: one
-``rng.random(..., dtype=np.float32)`` call turned into N(0, 1) values by
-the Box-Muller transform.  The values have float32 precision, and their
-magnitude is at most sqrt(2 ln 2**24) = 5.77, where a true Gaussian goes
-past with probability 8e-9 per value.  ``forward_batch`` makes one such
-call per image, in image order.
+Every Gaussian value comes from ``box_muller``, which turns 2 ceil(n/2)
+float32 uniforms into n N(0, 1) values.  The values have float32
+precision, and their magnitude is at most sqrt(2 ln 2**24) = 5.77, where
+a true Gaussian goes past with probability 8e-9 per value.
+``standard_normal`` draws those uniforms in one ``rng.random`` call;
+``forward_batch`` draws a whole block's in one call, one row of 2P
+uniforms per image, P = ceil(C_O*V*V/2).  A numpy generator packs two
+float32 uniforms into each uint64 step of its bit generator, so image b
+takes the P steps after the first b*P: the same values as P-step draws
+image by image, and, on a PCG64 stream advanced by n*P, the values of
+image n of the stream (see ``hybrid``).
 
 Simulator state is immutable; forward passes are pure given (input,
 generator), and a noisy call without a generator raises InvalidSpecError.
@@ -145,10 +150,11 @@ def forward_batch(
 
     Computes rescale * (im2col(x) @ (gains * settings)) plus one Gaussian
     value of std ``output_noise_std`` per output element: the sum of the Q
-    independent branch noises at each valid time step.  Image b's values
-    are ``std * standard_normal(rng, C_O*V*V)``, one ``rng.random`` call
-    per image in image order, laid out as its (C_O, V, V) output; so they
-    have float32 precision and a tail cut at 5.77 std.  A noisy call
+    independent branch noises at each valid time step.  The noise of a
+    block is one ``rng.random((B, 2P), dtype=np.float32)`` call, P =
+    ceil(C_O*V*V/2), none for an empty block; image b's values are ``std *
+    box_muller(row b, C_O*V*V)``, laid out as its (C_O, V, V) output, so
+    they have float32 precision and a tail cut at 5.77 std.  A noisy call
     without ``rng`` raises InvalidSpecError.
     """
     images = np.asarray(images, dtype=float)
@@ -173,34 +179,45 @@ def forward_batch(
     eff = faults.gains(spec) * programming.settings     # (C_I, Q, C_O)
     w_eff = programming.rescale * eff.reshape(spec.c_in * spec.q, spec.c_out)
     out = w_eff.T @ cols.T                              # (C_O, B*V*V)
-    if std > 0:
-        # each image's (C_O, V*V) columns take its draw while in cache;
+    if std > 0 and len(images):
+        # each image's (C_O, V*V) columns take its row while in cache;
         # scaled in float64, which holds any std below the 3080 dBc cap
         per_image = dims[1] * dims[2]
         scaled = np.empty((spec.c_out, per_image))
-        for start in range(0, out.shape[1], per_image):
-            z = standard_normal(rng, scaled.size).reshape(scaled.shape)
+        u = rng.random((len(images), uniform_count(scaled.size)),
+                       dtype=np.float32)
+        for row, start in zip(u, range(0, out.shape[1], per_image)):
+            z = box_muller(row, scaled.size).reshape(scaled.shape)
             np.multiply(z, std, out=scaled, dtype=np.float64)
             out[:, start:start + per_image] += scaled
     return rows_to_batch(out, dims)
 
 
-def standard_normal(rng, n: int) -> np.ndarray:
-    """``n`` N(0, 1) values, float32, from one ``rng.random`` call.
+def uniform_count(n: int) -> int:
+    """Uniforms ``box_muller`` takes for ``n`` values: 2 ceil(n/2)."""
+    return 2 * ((n + 1) // 2)
 
-    Box & Muller (1958): ``(n + 1) // 2`` uniform pairs (u, t), drawn as
-    one ``rng.random(2 * ((n + 1) // 2), dtype=np.float32)`` call whose
-    first half is u, give the radius r = sqrt(-2 ln(1 - u)) and the angle
-    2 pi t; r cos and r sin of the angle are independent N(0, 1).  The
-    first half of the result is the cosines, the second the sines, and an
-    odd ``n`` drops the last sine.  Radius and angle are float32, so the
-    values have float32 precision; 1 - u is at least 2**-24, so no value
-    exceeds sqrt(2 ln 2**24) = 5.77 in magnitude, which a true Gaussian
-    does with probability 8e-9.  The generator's own state is the only
-    state.
+
+def standard_normal(rng, n: int) -> np.ndarray:
+    """``n`` N(0, 1) values, float32: ``box_muller`` of one
+    ``rng.random(uniform_count(n), dtype=np.float32)`` call."""
+    return box_muller(rng.random(uniform_count(n), dtype=np.float32), n)
+
+
+def box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """``n`` N(0, 1) values from the ``uniform_count(n)`` float32 uniforms
+    ``u`` on [0, 1), overwritten in place; the result is a view of ``u``.
+
+    Box & Muller (1958): the first half of ``u`` and the second, (u, t),
+    give the radius r = sqrt(-2 ln(1 - u)) and the angle 2 pi t; r cos and
+    r sin of the angle are independent N(0, 1).  The first half of the
+    result is the cosines, the second the sines, and an odd ``n`` drops the
+    last sine.  Radius and angle are float32, so the values have float32
+    precision; 1 - u is at least 2**-24, so no value exceeds
+    sqrt(2 ln 2**24) = 5.77 in magnitude, which a true Gaussian does with
+    probability 8e-9.
     """
-    half = (n + 1) // 2
-    u = rng.random(2 * half, dtype=np.float32)
+    half = len(u) // 2
     radius, angle = u[:half], u[half:]
     np.subtract(np.float32(1.0), radius, out=radius)
     np.log(radius, out=radius)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the count check that
-raises one."""
+"""Exception types shared across the package, and the count and seed
+checks that raise one."""
 
 import operator
 
@@ -41,13 +41,19 @@ class CheckpointError(IpcnnError, OSError):
     short, or with metadata that is not a JSON object."""
 
 
-def check_count(name: str, value) -> None:
-    """Raise InvalidSpecError unless ``value`` is an integer >= 1; a float
-    such as 2.0 or 1.5 is not one."""
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise InvalidSpecError unless ``value`` is an integer >= ``minimum``;
+    a float such as 2.0 or 1.5 is not one."""
     try:
         operator.index(value)
     except TypeError:
         raise InvalidSpecError(
             f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise InvalidSpecError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise InvalidSpecError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_seed(name: str, value) -> None:
+    """Raise InvalidSpecError unless ``value`` is an integer >= 0, as a
+    numpy seed must be."""
+    check_count(name, value, minimum=0)

@@ -10,15 +10,16 @@ any report exactly reproducible.
 
 ``hybrid_forward`` is the model's own inference walk with the analog
 convs standing in for its conv layers; its detection noise is a function
-of (seed, conv, image): an image's noise at a conv is the single
-``analog.standard_normal`` draw, one ``random`` call, that
-``forward_batch`` makes for it, answered by the generator keyed by
-(root, conv, image).
+of (seed, conv, image), keyed by stream position: conv k draws from one
+PCG64 stream seeded by (root, k), and image n owns the P uint64 steps of
+that stream from n*P on, P = ceil(C_O*V*V/2), which hold its 2P float32
+uniforms.  A block starting at image ``first`` gets the stream advanced
+by first*P (``noise_stream``), an O(log n) jump, and ``forward_batch``
+draws the whole block's uniforms from it in one call.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,9 +34,10 @@ from .analog import (
     output_noise_std,
     program_weights,
     sample_imbalance,
+    uniform_count,
 )
 from .conv_math import ConvLayerSpec
-from .errors import DimensionError, check_count
+from .errors import DimensionError, check_count, check_seed
 from .layers import Conv2D, MaxPool2, pad_hw
 from .network import IMAGE_WIDTH, NetworkModel, check_labels
 
@@ -71,6 +73,7 @@ def build_photonic_setups(
     conv layer takes the next two children of ``seed`` (imbalance, probes).
     ``probe_repeats`` must be an integer >= 1, calibrated or not.
     """
+    check_seed("seed", seed)
     check_count("probe_repeats", probe_repeats)
     ss = np.random.SeedSequence(seed)
     setups, width = [], IMAGE_WIDTH
@@ -101,20 +104,17 @@ def build_photonic_setups(
     return setups
 
 
-class _KeyedNoise:
-    """Stands in for ``forward_batch``'s generator over one block of images.
+def noise_stream(root: int, conv: int, spec: ConvLayerSpec,
+                 first: int) -> np.random.Generator:
+    """Conv ``conv``'s detection-noise stream, positioned at image ``first``.
 
-    ``forward_batch`` makes one ``random`` call per image, in image order;
-    the n-th call here is answered by ``default_rng([root, conv, first +
-    n])``, whatever block, batch or thread makes it.
+    One PCG64 stream per (root, conv), advanced by ``first`` times the P =
+    ceil(C_O*V*V/2) uint64 steps each image owns.
     """
-
-    def __init__(self, root: int, conv: int, first: int):
-        self._key, self._images = (root, conv), itertools.count(first)
-
-    def random(self, size=None, dtype=np.float64) -> np.ndarray:
-        rng = np.random.default_rng([*self._key, next(self._images)])
-        return rng.random(size, dtype=dtype)
+    stream = np.random.PCG64(np.random.SeedSequence([root, conv]))
+    per_image = uniform_count(spec.c_out * spec.valid_width ** 2) // 2
+    stream.advance(first * per_image)
+    return np.random.Generator(stream)
 
 
 def hybrid_forward(
@@ -133,8 +133,9 @@ def hybrid_forward(
     conv layer run as its setup's analog conv plus the layer's bias.
 
     Noise is a function of (seed, conv, image): one root integer is drawn
-    from ``noise_rng``, and image ``n`` of ``images`` takes conv ``k``'s
-    noise from ``default_rng([root, k, n])``.  So an image's logits do not
+    from ``noise_rng``, and a block whose first image is image ``n`` of
+    ``images`` passes its k-th conv ``noise_stream(root, k, spec, n)``;
+    a noiseless conv gets no generator.  So an image's logits do not
     depend on ``batch_size`` (beyond the rounding of GEMMs of another
     size), on the images after it, or on the thread that ran its batch.
     A noisy call runs the odd-numbered batches on one helper thread, joined
@@ -147,19 +148,20 @@ def hybrid_forward(
         raise DimensionError(f"{len(setups)} setups for "
                              f"{len(model.conv_layers)} conv layers")
     root = int(noise_rng.integers(2 ** 63))
+    noisy = [output_noise_std(s.programming, s.spec, s.faults) > 0
+             for s in setups]
 
     def conv(k, x, first):
         s = setups[k]
+        rng = noise_stream(root, k, s.spec, first) if noisy[k] else None
         # looked up at call time, so a patched ``hybrid.forward_batch`` runs
         y = forward_batch(pad_hw(x, s.pad), s.programming, s.spec, s.faults,
-                          rng=_KeyedNoise(root, k, first))
+                          rng=rng)
         y += s.bias[None, :, None, None]
         return y
 
-    noisy = any(output_noise_std(s.programming, s.spec, s.faults) > 0
-                for s in setups)
     return model.logits(images[:, None, :, :], batch_size, conv,
-                        "ipcnn-hybrid" if noisy else None)
+                        "ipcnn-hybrid" if any(noisy) else None)
 
 
 def infer_hybrid(
@@ -212,7 +214,10 @@ def sweep_noise(
     batch_size: int = 128,
     threads: int = 1,
 ) -> list[dict]:
-    """Accuracy per (noise level, seed); one InferenceReport each."""
+    """Accuracy per (noise level, seed); one InferenceReport each.  Every
+    seed must be an integer >= 0."""
+    for seed in seeds:
+        check_seed("seed", seed)
     jobs = [(level, seed) for level in levels_dbc for seed in seeds]
 
     def run(job):
@@ -238,8 +243,9 @@ def sweep_imbalance(
     threads: int = 1,
 ) -> list[dict]:
     """Box-plot statistics of accuracy over fresh imbalance draws per level;
-    ``trials`` must be an integer >= 1."""
+    ``trials`` must be an integer >= 1 and ``base_seed`` one >= 0."""
     check_count("trials", trials)
+    check_seed("base_seed", base_seed)
     jobs = [(li, t) for li in range(len(levels_db)) for t in range(trials)]
 
     def run(job):
@@ -273,7 +279,8 @@ def sweep_imbalance(
 
 
 def _run_jobs(jobs, fn, threads: int):
-    if threads <= 1:
+    check_count("threads", threads)
+    if threads == 1:
         return [fn(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, jobs))

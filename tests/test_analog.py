@@ -454,8 +454,8 @@ class TestStandardNormal:
             standard_normal(np.random.default_rng(3), n), z)
 
     def test_odd_count_per_image(self):
-        # c_out = 1 and a 3x3 valid output: 9 values per image, each image
-        # one call of 10 uniforms, in image order
+        # c_out = 1 and a 3x3 valid output: 9 values per image, the block
+        # one call of 10 uniforms per image, image by image in row order
         spec = ConvLayerSpec(c_in=1, c_out=1, sigma=3, image_width=5)
         programming = program_weights(np.ones((1, 1, 3, 3)), spec)
         faults = AnalogFaultModel(neop_dbc=-10.0)
@@ -463,7 +463,7 @@ class TestStandardNormal:
         rng = CountingGenerator(5)
         noisy = forward_batch(x, programming, spec, faults, rng=rng)
         clean = forward_batch(x, programming, spec, IDEAL)
-        assert rng.sizes == [10, 10, 10]
+        assert rng.sizes == [(3, 10)]
         std = programming.rescale * faults.noise_sigma(spec) * 3.0
         reference = np.random.default_rng(5)
         for image in range(3):

@@ -8,7 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ipcnn.analog import (MAX_IMBALANCE_DB, forward_batch, output_noise_std,
+from ipcnn.analog import (MAX_IMBALANCE_DB, AnalogFaultModel, box_muller,
+                          forward_batch, output_noise_std, program_weights,
                           standard_normal)
 from ipcnn.conv_math import ConvLayerSpec
 from ipcnn import hybrid
@@ -33,9 +34,11 @@ def serial_forward(model, images, setups, rng, batch_size=128):
     """Reference route: whole batches, no blocks, no threads.
 
     Each conv runs noiseless over the whole batch, and then gets image
-    ``n``'s noise added: ``std`` times one ``standard_normal`` draw from
-    ``default_rng([root, conv, n])``, laid out as the image's (C_O, V, V)
-    output.  ``root`` is the first integer drawn from ``rng``.
+    ``n``'s noise added: ``std`` times one ``standard_normal`` draw, laid
+    out as the image's (C_O, V, V) output.  The draws of a batch are
+    consecutive, from the conv's PCG64 stream seeded by (root, conv) and
+    advanced by the P = ceil(C_O*V*V/2) steps of each image before the
+    batch.  ``root`` is the first integer drawn from ``rng``.
     """
     root = int(rng.integers(2 ** 63))
     logits = []
@@ -53,11 +56,12 @@ def serial_forward(model, images, setups, rng, batch_size=128):
             std = output_noise_std(setup.programming, setup.spec,
                                    setup.faults)
             if std > 0:
+                stream = np.random.PCG64(np.random.SeedSequence([root, conv]))
+                stream.advance(start * ((x[0].size + 1) // 2))
+                gen = np.random.Generator(stream)
                 noise = np.stack([
-                    standard_normal(
-                        np.random.default_rng([root, conv, start + i]),
-                        x[0].size).reshape(x[0].shape)
-                    for i in range(len(x))])
+                    standard_normal(gen, x[0].size).reshape(x[0].shape)
+                    for _ in range(len(x))])
                 x = x + std * noise.astype(np.float64)
             x += setup.bias[None, :, None, None]
             conv += 1
@@ -159,11 +163,11 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
     def test_noisy_logits_bytes_pinned(self):
-        # re-recorded when the noise became one Box-Muller draw per
-        # (seed, conv, image): both the noise values and the GEMM sums are
-        # in these bytes.  numpy picks its float32 log, sin and cos loops by
-        # CPU feature, as OpenBLAS picks its kernels (OpenBLAS 0.3.31,
-        # numpy 2.4, AVX-512 x86-64)
+        # re-recorded when each conv's noise became one PCG64 stream per
+        # (seed, conv), image n at step n * P: both the noise values and the
+        # GEMM sums are in these bytes.  numpy picks its float32 log, sin
+        # and cos loops by CPU feature, as OpenBLAS picks its kernels
+        # (OpenBLAS 0.3.31, numpy 2.4, AVX-512 x86-64)
         model = NetworkModel(seed=4)
         images = np.random.default_rng(5).random((16, 28, 28))
         setups = build_photonic_setups(model, neop_dbc=-10.0, seed=6)
@@ -171,7 +175,7 @@ class TestDeterminism:
                                 np.random.default_rng(7))
         assert logits.dtype == np.float64 and logits.shape == (16, 10)
         assert hashlib.sha256(logits.tobytes()).hexdigest() == (
-            "3abaaa311e156e690d1437e9066850d310c26854dd3bb6f92a6e2eb485d6536a"
+            "f183cf2969557826ccef86379f04b68896e34e9abb42bc62c094863478fb1fc6"
         ), ("pinned on OpenBLAS 0.3.31, numpy 2.4, AVX-512 x86-64: on "
             "another BLAS or numpy build or CPU a mismatch may be the "
             "environment, not the code")
@@ -343,17 +347,19 @@ class TestNoiseAhead:
 
     def test_image_noise_comes_from_its_key(self):
         # zero input: image n's conv output is std times the
-        # standard_normal draw of default_rng([root, conv, n]), laid out as
-        # the image's (C_O, V, V) output
+        # standard_normal draw of the (root, conv) PCG64 stream advanced
+        # by n * P, P = 32 * 14 * 14 / 2, laid out as the image's (C_O, V, V)
+        # output
         model = NetworkModel(seed=1)
         setup = build_photonic_setups(model, neop_dbc=-10.0)[1]
         x = np.zeros((5, 32, 16, 16))
         out = forward_batch(x, setup.programming, setup.spec, setup.faults,
-                            rng=hybrid._KeyedNoise(7, 1, 40))
+                            rng=hybrid.noise_stream(7, 1, setup.spec, 40))
         std = output_noise_std(setup.programming, setup.spec, setup.faults)
         for i in range(5):
-            draw = standard_normal(np.random.default_rng([7, 1, 40 + i]),
-                                   32 * 14 * 14)
+            stream = np.random.PCG64(np.random.SeedSequence([7, 1]))
+            stream.advance((40 + i) * 32 * 14 * 14 // 2)
+            draw = standard_normal(np.random.Generator(stream), 32 * 14 * 14)
             np.testing.assert_array_equal(
                 out[i], std * draw.astype(np.float64).reshape(32, 14, 14))
 
@@ -365,7 +371,7 @@ class TestNoiseAhead:
         spec = setup.spec
         x = np.zeros((32, 1, spec.image_width, spec.image_width))
         out = forward_batch(x, setup.programming, spec, setup.faults,
-                            rng=hybrid._KeyedNoise(2024, 0, 0))
+                            rng=hybrid.noise_stream(2024, 0, spec, 0))
         expected = (spec.q * setup.faults.noise_sigma(spec) ** 2
                     * setup.programming.rescale ** 2)
         per_channel = out.transpose(1, 0, 2, 3).reshape(spec.c_out, -1)
@@ -380,11 +386,14 @@ class TestNoiseAhead:
         assert abs(corr) < 5 / np.sqrt(out[0].size)
 
     def test_neighbouring_keys_uncorrelated(self):
-        # the n-th call of one _KeyedNoise is image first + n's key; the
-        # draws of neighbouring images, and of one image at the two convs,
-        # correlate no more than independent values do (5 standard errors)
+        # the n-th draw from a stream positioned at image first is image
+        # first + n's; the draws of neighbouring images, and of one image at
+        # the two convs, correlate no more than independent values do (5
+        # standard errors)
         size = 32 * 28 * 28
-        conv1, conv2 = (hybrid._KeyedNoise(2024, k, 100) for k in (0, 1))
+        spec = ConvLayerSpec(c_in=1, c_out=32, sigma=3, image_width=30)
+        conv1, conv2 = (hybrid.noise_stream(2024, k, spec, 100)
+                        for k in (0, 1))
         draws = [standard_normal(conv1, size) for _ in range(9)]
         pairs = list(zip(draws, draws[1:]))
         pairs.append((draws[0], standard_normal(conv2, size)))
@@ -392,7 +401,7 @@ class TestNoiseAhead:
             corr = np.corrcoef(a.astype(np.float64), b.astype(np.float64))
             assert abs(corr[0, 1]) < 5 / np.sqrt(size)
         np.testing.assert_array_equal(
-            draws[3], standard_normal(np.random.default_rng([2024, 0, 103]),
+            draws[3], standard_normal(hybrid.noise_stream(2024, 0, spec, 103),
                                       size))
 
     def test_concurrent_calls_under_fast_switching(self, model):
@@ -465,6 +474,76 @@ class TestNoiseAhead:
                        build_photonic_setups(model, neop_dbc=-10.0),
                        np.random.default_rng(0), batch_size=8)
         assert len(started) == 1 and started[0].startswith("ipcnn-hybrid")
+
+
+class TestNoiseStream:
+    """Conv k's noise is one PCG64 stream per (root, k), and image n owns
+    the P = ceil(C_O*V*V/2) uint64 steps from n*P on: its 2P float32
+    uniforms."""
+
+    CONV1 = ConvLayerSpec(c_in=1, c_out=32, sigma=3, image_width=30)
+    # c_out = 1 and a 3x3 valid output: 9 values, so P = 5 and one of each
+    # image's 10 uniforms goes unused
+    ODD = ConvLayerSpec(c_in=1, c_out=1, sigma=3, image_width=5)
+
+    @pytest.mark.parametrize("spec", [CONV1, ODD], ids=["conv1", "odd"])
+    @pytest.mark.parametrize("image", [0, 1, 5, 37])
+    def test_advanced_stream_is_a_slice_of_one_draw(self, spec, image):
+        # numpy fills float32 uniforms two per uint64 step, so the stream
+        # advanced by n * P draws what one long draw holds from 2nP on
+        per_image = (spec.c_out * spec.valid_width ** 2 + 1) // 2
+        stream = np.random.PCG64(np.random.SeedSequence([3, 1]))
+        long = np.random.Generator(stream).random(
+            2 * (image + 1) * per_image, dtype=np.float32)
+        got = hybrid.noise_stream(3, 1, spec, image).random(
+            2 * per_image, dtype=np.float32)
+        np.testing.assert_array_equal(got, long[2 * image * per_image:])
+
+    def test_odd_count_keys_by_image(self):
+        # zero input to a one-output-channel conv: image i of a block that
+        # starts at image 2 is the Box-Muller of uniforms 10 (2 + i) to
+        # 10 (3 + i) of the stream, the last of them unused
+        spec = self.ODD
+        programming = program_weights(np.ones((1, 1, 3, 3)), spec)
+        faults = AnalogFaultModel(neop_dbc=-10.0)
+        out = forward_batch(np.zeros((4, 1, 5, 5)), programming, spec,
+                            faults, rng=hybrid.noise_stream(9, 0, spec, 2))
+        std = output_noise_std(programming, spec, faults)
+        u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            [9, 0]))).random(60, dtype=np.float32)
+        for i in range(4):
+            draw = box_muller(u[10 * (2 + i):10 * (3 + i)], 9)
+            np.testing.assert_array_equal(
+                out[i], std * draw.astype(np.float64).reshape(1, 3, 3))
+
+    @pytest.mark.parametrize("make_setups, noisy", [
+        (lambda m: build_photonic_setups(m, neop_dbc=-10.0, seed=1),
+         [True, True]),
+        (_conv2_only_noisy, [False, True]),
+        (lambda m: build_photonic_setups(m, imbalance_db=6.0,
+                                         calibration=True), [False, False]),
+    ], ids=["noisy", "conv2-only-noisy", "noiseless"])
+    def test_each_conv_gets_its_stream_or_none(self, model, monkeypatch,
+                                               make_setups, noisy):
+        # one batch of two blocks, on the calling thread in order: a noisy
+        # conv gets its stream at the block's first image, a noiseless one
+        # no generator
+        setups = make_setups(model)
+        calls = []
+
+        def recording(images, programming, spec, faults, rng=None):
+            calls.append(None if rng is None else rng.bit_generator.state)
+            return forward_batch(images, programming, spec, faults, rng)
+
+        monkeypatch.setattr(hybrid, "forward_batch", recording)
+        images = np.random.default_rng(9).random((40, 28, 28))
+        hybrid_forward(model, images, setups, np.random.default_rng(11))
+        root = int(np.random.default_rng(11).integers(2 ** 63))
+        expected = [
+            hybrid.noise_stream(root, k, setups[k].spec, first)
+            .bit_generator.state if noisy[k] else None
+            for first in (0, 32) for k in (0, 1)]
+        assert calls == expected
 
 
 class TestBlockedPredict:
@@ -643,4 +722,48 @@ class TestBadCounts:
         }[call]
         name = call.split("-")[1]
         with pytest.raises(InvalidSpecError, match=f"{name} must be an int"):
+            run()
+
+
+class TestBadSeedsAndThreads:
+    """Seeds must be integers >= 0 and thread counts integers >= 1; both
+    used to reach numpy or the thread pool unchecked."""
+
+    @pytest.mark.parametrize("bad", [-1, 2.5])
+    @pytest.mark.parametrize("call", [
+        "build_photonic_setups", "infer_hybrid", "sweep_noise",
+        "sweep_imbalance"])
+    def test_seed(self, model, samples, call, bad):
+        images, labels = samples[0][:6], samples[1][:6]
+        run = {
+            "build_photonic_setups": lambda: build_photonic_setups(
+                model, seed=bad),
+            "infer_hybrid": lambda: infer_hybrid(model, images, labels,
+                                                 seed=bad),
+            "sweep_noise": lambda: sweep_noise(model, images, labels,
+                                               [-10.0], seeds=[0, bad]),
+            "sweep_imbalance": lambda: sweep_imbalance(
+                model, images, labels, [6.0], trials=1, base_seed=bad),
+        }[call]
+        with pytest.raises(InvalidSpecError, match="seed must be"):
+            run()
+
+    def test_numpy_integer_seed(self, model, samples):
+        images, labels = samples
+        a = infer_hybrid(model, images, labels, neop_dbc=-10.0,
+                         seed=np.int64(3))
+        b = infer_hybrid(model, images, labels, neop_dbc=-10.0, seed=3)
+        np.testing.assert_array_equal(a.confusion, b.confusion)
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.5])
+    @pytest.mark.parametrize("call", ["sweep_noise", "sweep_imbalance"])
+    def test_threads(self, model, samples, call, threads):
+        images, labels = samples[0][:6], samples[1][:6]
+        run = {
+            "sweep_noise": lambda: sweep_noise(
+                model, images, labels, [-10.0], [0], threads=threads),
+            "sweep_imbalance": lambda: sweep_imbalance(
+                model, images, labels, [6.0], trials=1, threads=threads),
+        }[call]
+        with pytest.raises(InvalidSpecError, match="threads must be"):
             run()
