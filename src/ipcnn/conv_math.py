@@ -7,10 +7,14 @@ copies of the serialized stream.  The valid columns of the delayed matrix
 coincide with the im2col matrix, so a single weight-matrix multiply
 computes the layer either way.  This module holds exact reference
 implementations of both routes so the equivalence can be checked
-mechanically.  Both are array copies written independently of each
-other: im2col takes one strided slice per kernel offset (i, j), and the
-delayed matrix writes one slice per delay tap carrying every channel at
-once, as one delay line carries every wavelength.
+mechanically.  Each route, and the defining sum it is checked against,
+is one array expression over its own read-only strided window of the
+input, written independently of the others: the delayed matrix takes
+every tap's window of the zero-padded stream at once, as one delay line
+carries every wavelength; im2col copies a (C_I, sigma, sigma, V, V)
+window; the reference contracts the kernels with a (C_I, V, V, sigma,
+sigma) window.  Every returned array is a fresh C-contiguous copy, so
+writing into it never reaches the caller's images.
 
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.
@@ -18,11 +22,12 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidSpecError
+from .errors import DimensionError, InvalidSpecError, check_count
 
 
 @dataclass(frozen=True)
@@ -35,12 +40,11 @@ class ConvLayerSpec:
     image_width: int
 
     def __post_init__(self):
-        if self.c_in < 1:
-            raise InvalidSpecError(f"c_in must be >= 1, got {self.c_in}")
-        if self.c_out < 1:
-            raise InvalidSpecError(f"c_out must be >= 1, got {self.c_out}")
-        if self.sigma < 1:
-            raise InvalidSpecError(f"sigma must be >= 1, got {self.sigma}")
+        check_count("c_in", self.c_in)
+        check_count("c_out", self.c_out)
+        check_count("sigma", self.sigma)
+        # type only: the sigma check below bounds the value
+        check_count("image_width", self.image_width, minimum=-math.inf)
         if self.image_width < self.sigma:
             raise InvalidSpecError(
                 f"image_width {self.image_width} < sigma {self.sigma}: "
@@ -83,7 +87,8 @@ class DelayedMatrix:
 
 
 def _check_image_shape(images: np.ndarray, spec: ConvLayerSpec) -> np.ndarray:
-    images = np.asarray(images, dtype=float)
+    # C order lets a window view be laid over the buffer
+    images = np.asarray(images, dtype=float, order="C")
     expected = (spec.c_in, spec.image_width, spec.image_width)
     if images.shape != expected:
         axis = next(
@@ -118,20 +123,19 @@ def _check_kernel_shape(kernels: np.ndarray, spec: ConvLayerSpec) -> np.ndarray:
 def conv2d_reference(images, kernels, spec: ConvLayerSpec) -> np.ndarray:
     """Exact triple-sum convolution y[v,m,n] = sum_{u,i,j} w[u,v,i,j] x[u,m+i,n+j].
 
-    Vectorized over (m, n) but otherwise a direct transcription of the
-    defining sum.  Output shape (C_O, L-sigma+1, L-sigma+1).
+    A direct transcription of the defining sum: one contraction of the
+    kernels over a read-only (C_I, V, V, sigma, sigma) window whose entry
+    (u, m, n, i, j) is x[u, m+i, n+j].  Output shape (C_O, V, V) with
+    V = L - sigma + 1.
     """
     x = _check_image_shape(images, spec)
     w = _check_kernel_shape(kernels, spec)
     v_w = spec.valid_width
-    out = np.zeros((spec.c_out, v_w, v_w))
-    for i in range(spec.sigma):
-        for j in range(spec.sigma):
-            # x window for this (i, j): shape (C_I, V, V)
-            window = x[:, i:i + v_w, j:j + v_w]
-            # w[:, :, i, j]: (C_I, C_O)
-            out += np.einsum("uv,umn->vmn", w[:, :, i, j], window)
-    return out
+    s_u, s_m, s_n = x.strides
+    window = np.ndarray((spec.c_in, v_w, v_w, spec.sigma, spec.sigma),
+                        x.dtype, x, 0, (s_u, s_m, s_n, s_m, s_n))
+    window.flags.writeable = False
+    return np.tensordot(w, window, axes=([0, 2, 3], [0, 3, 4]))
 
 
 def serialize(image: np.ndarray) -> np.ndarray:
@@ -167,46 +171,59 @@ def delay_offsets(sigma: int, image_width: int) -> np.ndarray:
 def build_delayed_matrix(images, spec: ConvLayerSpec) -> DelayedMatrix:
     """Assemble X': Q delayed copies of each serialized channel, zero padded.
 
-    One slice assignment per tap q writes the row-major streams of all
-    channels at once, delayed by D_max - D_q, into a (C_I, Q, width)
-    array: in the accelerator each delay line carries every input channel
-    on its own wavelength.  Rows come out in u*Q + q order.
+    With each channel's row-major stream zero padded by D_max on both
+    sides, the row for tap q is the padded stream's window that starts at
+    D_q, i.e. the stream delayed by D_max - D_q.  One gather at
+    :func:`delay_offsets` of a read-only (C_I, D_max + 1, width) window
+    view takes every tap of every channel at once, as each delay line
+    carries every input channel on its own wavelength.  Rows come out in
+    u*Q + q order.
     """
     x = _check_image_shape(images, spec)
     n_samples = spec.image_width ** 2
-    width = n_samples + spec.d_max
-    offsets = delay_offsets(spec.sigma, spec.image_width)
+    d_max = spec.d_max
+    width = n_samples + d_max
 
-    # row-major serialization of every channel: (C_I, L^2)
-    streams = x.reshape(spec.c_in, n_samples)
-    data = np.zeros((spec.c_in, spec.q, width))
-    for q, d_q in enumerate(offsets):
-        d = spec.d_max - d_q
-        data[:, q, d:d + n_samples] = streams
+    padded = np.zeros((spec.c_in, n_samples + 2 * d_max))
+    padded[:, d_max:d_max + n_samples] = x.reshape(spec.c_in, n_samples)
+    step_u, step_s = padded.strides
+    windows = np.ndarray((spec.c_in, d_max + 1, width), padded.dtype, padded,
+                         0, (step_u, step_s, step_s))
+    windows.flags.writeable = False
+    # both index arrays lead, so the gather comes out C-contiguous
+    data = windows[np.arange(spec.c_in)[:, None],
+                   delay_offsets(spec.sigma, spec.image_width)]
 
     valid = np.zeros(width, dtype=bool)
-    m = np.arange(spec.image_width - spec.sigma + 1)
-    cols = (m[:, None] * spec.image_width + m[None, :]).reshape(-1)
-    valid[cols + spec.d_max] = True
+    _valid_columns(valid, spec)[...] = True
     return DelayedMatrix(data=data.reshape(spec.c_in * spec.q, width),
                          valid_mask=valid, spec=spec)
+
+
+def _valid_columns(a: np.ndarray, spec: ConvLayerSpec) -> np.ndarray:
+    """View of the valid columns s + D_max, s = m*L + n, of ``a`` as
+    (..., V, V): the first V of each length-L run from column D_max."""
+    v_w, l_w = spec.valid_width, spec.image_width
+    span = a[..., spec.d_max:spec.d_max + v_w * l_w]
+    return span.reshape(a.shape[:-1] + (v_w, l_w))[..., :v_w]
 
 
 def im2col_oracle(images, spec: ConvLayerSpec) -> np.ndarray:
     """Conventional patch-and-flatten matrix X, shape (C_I*Q, (L-sigma+1)^2).
 
     Column p is the flattened sigma x sigma patch at output position
-    p = m * (L-sigma+1) + n, channel blocks stacked vertically.  Built by
-    one strided slice per kernel offset (i, j) - entry (u, i, j, m, n) is
-    x[u, m+i, n+j] - so it stays independent of the delay route.
+    p = m * (L-sigma+1) + n, channel blocks stacked vertically.  It is one
+    contiguous copy of a read-only (C_I, sigma, sigma, V, V) window whose
+    entry (u, i, j, m, n) is x[u, m+i, n+j], so it stays independent of
+    the delay route.
     """
     x = _check_image_shape(images, spec)
     v_w = spec.valid_width
-    cols = np.empty((spec.c_in, spec.sigma, spec.sigma, v_w, v_w))
-    for i in range(spec.sigma):
-        for j in range(spec.sigma):
-            cols[:, i, j] = x[:, i:i + v_w, j:j + v_w]
-    return cols.reshape(spec.c_in * spec.q, v_w * v_w)
+    s_u, s_m, s_n = x.strides
+    window = np.ndarray((spec.c_in, spec.sigma, spec.sigma, v_w, v_w),
+                        x.dtype, x, 0, (s_u, s_m, s_n, s_m, s_n))
+    window.flags.writeable = False
+    return window.copy().reshape(spec.c_in * spec.q, v_w * v_w)
 
 
 def kernels_to_weight_matrix(kernels, spec: ConvLayerSpec) -> np.ndarray:
@@ -233,14 +250,20 @@ def gemm_conv(weight_matrix: np.ndarray, delayed: DelayedMatrix) -> np.ndarray:
 
 
 def valid_output(y_full: np.ndarray, delayed: DelayedMatrix) -> np.ndarray:
-    """Extract and reshape the valid columns of Y' to (C_O, V, V)."""
-    spec = delayed.spec
-    v_w = spec.valid_width
-    return y_full[:, delayed.valid_mask].reshape(spec.c_out, v_w, v_w)
+    """Copy the valid columns of Y' out as (C_O, V, V)."""
+    y_full = np.asarray(y_full)
+    expected = (delayed.spec.c_out, delayed.valid_mask.size)
+    if y_full.shape != expected:
+        raise DimensionError(f"Y' shape {y_full.shape} != {expected}")
+    return _valid_columns(y_full, delayed.spec).copy()
 
 
 def physical_delay(d_q, f_m: float, group_velocity: float) -> tuple:
     """Convert clock-cycle delay(s) to (seconds, meters) at modulation rate f_m."""
-    if f_m <= 0:
-        raise InvalidSpecError(f"modulation rate must be positive, got {f_m}")
+    if not (math.isfinite(f_m) and f_m > 0):
+        raise InvalidSpecError(
+            f"modulation rate must be positive and finite, got {f_m}")
+    if not (math.isfinite(group_velocity) and group_velocity > 0):
+        raise InvalidSpecError(
+            f"group velocity must be positive and finite, got {group_velocity}")
     return d_q / f_m, d_q * group_velocity / f_m

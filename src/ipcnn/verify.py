@@ -21,6 +21,7 @@ from .conv_math import (
     kernels_to_weight_matrix,
     valid_output,
 )
+from .errors import InvalidSpecError, check_count, check_seed
 
 REL_TOL = 1e-12
 
@@ -46,6 +47,21 @@ def run_equivalence_suite(
     max_width: int = 16,
     corrupt_delay_offsets: bool = False,
 ) -> EquivalenceResult:
+    """Compare the routes on ``instances`` random layers drawn from ``seed``.
+
+    Raises InvalidSpecError, before drawing anything, unless the counts are
+    integers >= 1, the seed an integer >= 0, ``sigmas`` a non-empty list of
+    counts and ``max_width`` at least the largest of them.
+    """
+    check_count("instances", instances)
+    check_seed("seed", seed)
+    check_count("max_channels", max_channels)
+    if len(sigmas) == 0:
+        raise InvalidSpecError("sigmas must not be empty")
+    for sigma in sigmas:
+        check_count("each of sigmas", sigma)
+    check_count("max_width", max_width, minimum=max(sigmas))
+
     rng = np.random.default_rng(seed)
     digest = hashlib.sha256()
     first_failure = None

@@ -65,6 +65,34 @@ def loop_im2col(x, spec):
     return cols
 
 
+class TestConvLayerSpec:
+    @pytest.mark.parametrize("field", ["c_in", "c_out", "sigma",
+                                       "image_width"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.nan])
+    def test_non_integer_rejected(self, field, value):
+        fields = dict(c_in=2, c_out=2, sigma=2, image_width=4)
+        fields[field] = value
+        with pytest.raises(InvalidSpecError, match=f"{field} must be an "
+                                                   "integer"):
+            ConvLayerSpec(**fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(c_in=0), "c_in must be >= 1, got 0"),
+        (dict(c_out=-1), "c_out must be >= 1, got -1"),
+        (dict(sigma=0), "sigma must be >= 1, got 0"),
+        (dict(sigma=1, image_width=0), "image_width 0 < sigma 1"),
+        (dict(image_width=1), "image_width 1 < sigma 2"),
+    ])
+    def test_small_values_keep_messages(self, fields, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            ConvLayerSpec(**{**dict(c_in=2, c_out=2, sigma=2, image_width=4),
+                             **fields})
+
+    def test_numpy_integers_accepted(self):
+        spec = ConvLayerSpec(np.int64(2), np.int32(3), np.int64(3), 5)
+        assert (spec.q, spec.valid_width) == (9, 3)
+
+
 class TestConv2dReference:
     def test_all_ones_3x3(self):
         spec = ConvLayerSpec(1, 1, 3, 3)
@@ -221,6 +249,14 @@ class TestGemmConv:
         with pytest.raises(DimensionError):
             gemm_conv(np.ones((3, 17)), delayed)
 
+    @pytest.mark.parametrize("shape", [(3, 51), (3, 49), (2, 50), (150,)])
+    def test_valid_output_shape_error(self, shape):
+        # X' is 36 + 14 = 50 columns wide
+        spec = ConvLayerSpec(2, 3, 3, 6)
+        delayed = build_delayed_matrix(np.ones((2, 6, 6)), spec)
+        with pytest.raises(DimensionError, match="Y' shape"):
+            valid_output(np.ones(shape), delayed)
+
     def test_linearity_in_weights(self):
         spec = ConvLayerSpec(2, 2, 2, 5)
         rng = np.random.default_rng(8)
@@ -251,6 +287,16 @@ class TestPhysicalDelay:
         with pytest.raises(InvalidSpecError):
             physical_delay(1, 0.0, 1.5e8)
 
+    @pytest.mark.parametrize("f_m", [np.nan, np.inf])
+    def test_non_finite_rate(self, f_m):
+        with pytest.raises(InvalidSpecError, match="modulation rate"):
+            physical_delay(1, f_m, 1.5e8)
+
+    @pytest.mark.parametrize("velocity", [0.0, -1.5e8, np.nan, np.inf])
+    def test_bad_group_velocity(self, velocity):
+        with pytest.raises(InvalidSpecError, match="group velocity"):
+            physical_delay(1, 5e9, velocity)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -279,8 +325,17 @@ sigma_and_width = st.sampled_from([1, 2, 3, 5]).flatmap(
     lambda sigma: st.tuples(st.just(sigma), st.integers(sigma, 16)))
 
 
+def _conv_and_matrices(x, w, spec):
+    """Every route's output for images x and kernels w."""
+    delayed = build_delayed_matrix(x, spec)
+    y = valid_output(gemm_conv(kernels_to_weight_matrix(w, spec), delayed),
+                     delayed)
+    return (delayed.data, delayed.valid_mask, im2col_oracle(x, spec),
+            conv2d_reference(x, w, spec), y)
+
+
 class TestExactRoutes:
-    """The sliced oracle routes equal the loop references bit for bit."""
+    """The strided oracle routes equal the loop references bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(c_in=st.integers(1, 8), sigma_width=sigma_and_width,
@@ -296,6 +351,56 @@ class TestExactRoutes:
         assert np.array_equal(delayed.valid_mask, valid)
         assert np.array_equal(im2col_oracle(x, spec), loop_im2col(x, spec))
 
+    @pytest.mark.parametrize("sigma", [1, 2, 3, 5])
+    @pytest.mark.parametrize("extra", [0, 1, 4])
+    def test_every_sigma_equals_loops(self, sigma, extra):
+        # extra = 0 is the single-patch case, width = sigma
+        width = sigma + extra
+        spec = ConvLayerSpec(3, 2, sigma, width)
+        rng = np.random.default_rng(10 * sigma + extra)
+        x = rng.standard_normal((3, width, width))
+        w = rng.standard_normal((3, 2, sigma, sigma))
+        data, valid, cols, ref, y = _conv_and_matrices(x, w, spec)
+        loop_data, loop_valid = loop_delayed_matrix(x, spec)
+        assert np.array_equal(data, loop_data)
+        assert np.array_equal(valid, loop_valid)
+        assert np.array_equal(cols, loop_im2col(x, spec))
+        expected = loop_conv_oracle(x, w, 3, 2, sigma, width)
+        np.testing.assert_allclose(ref, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("view", [
+        lambda a: np.asfortranarray(a),
+        lambda a: a[:, ::-1].copy()[:, ::-1],
+        lambda a: a.transpose(0, 2, 1).copy().transpose(0, 2, 1),
+        lambda a: np.repeat(a, 2, axis=2)[:, :, ::2],
+    ], ids=["fortran", "reversed-rows", "transposed", "strided"])
+    def test_non_contiguous_images(self, view):
+        spec = ConvLayerSpec(3, 2, 3, 7)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 7, 7))
+        w = rng.standard_normal((3, 2, 3, 3))
+        x_view = view(x)
+        assert np.array_equal(x_view, x)
+        assert not x_view.flags.c_contiguous
+        for got, want in zip(_conv_and_matrices(x_view, w, spec),
+                             _conv_and_matrices(x, w, spec)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sigma, width", [(1, 4), (3, 3), (3, 7)])
+    def test_outputs_contiguous_and_unaliased(self, sigma, width):
+        spec = ConvLayerSpec(2, 2, sigma, width)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, width, width))
+        w = rng.standard_normal((2, 2, sigma, sigma))
+        before = x.copy()
+        outputs = _conv_and_matrices(x, w, spec)
+        for out in outputs:
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert not np.shares_memory(out, x)
+            out[...] = 0
+        np.testing.assert_array_equal(x, before)
+
     def test_suite_digest_pinned(self):
         result = run_equivalence_suite(instances=200, seed=0)
         assert result.passed
@@ -309,3 +414,27 @@ class TestExactRoutes:
         failure = result.first_failure
         assert (failure["instance"], failure["row"], failure["column"]) == (
             0, 24, 0)
+
+
+class TestSuiteArguments:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(instances=-1), "instances must be >= 1"),
+        (dict(instances=0), "instances must be >= 1"),
+        (dict(instances=2.5), "instances must be an integer"),
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(seed=1.5), "seed must be an integer"),
+        (dict(max_channels=0), "max_channels must be >= 1"),
+        (dict(sigmas=()), "sigmas must not be empty"),
+        (dict(sigmas=(1, 0)), "sigmas must be >= 1"),
+        (dict(sigmas=(3.0,)), "sigmas must be an integer"),
+        (dict(max_width=4), "max_width must be >= 5, got 4"),
+        (dict(sigmas=(2,), max_width=1), "max_width must be >= 2, got 1"),
+    ])
+    def test_bad_argument_rejected(self, kwargs, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            run_equivalence_suite(**kwargs)
+
+    def test_max_width_equal_to_largest_sigma(self):
+        result = run_equivalence_suite(instances=5, sigmas=(2, 3),
+                                       max_width=3)
+        assert result.passed and result.instances == 5
