@@ -34,8 +34,11 @@ a true Gaussian goes past with probability 8e-9 per value.
 uniforms per image, P = ceil(C_O*V*V/2).  A numpy generator packs two
 float32 uniforms into each uint64 step of its bit generator, so image b
 takes the P steps after the first b*P: the same values as P-step draws
-image by image, and, on a PCG64 stream advanced by n*P, the values of
-image n of the stream (see ``hybrid``).
+image by image.  So detection noise is keyed by stream position
+(``noise_stream``): conv k of a pass rooted at r draws from one PCG64
+stream seeded by (r, k), and image n owns its P steps from n*P on.  A
+block starting at image ``first`` gets the stream advanced by first*P,
+an O(log n) jump, and ``forward_batch`` draws the whole block from it.
 
 Simulator state is immutable; forward passes are pure given (input,
 generator), and a noisy call without a generator raises InvalidSpecError.
@@ -196,6 +199,19 @@ def forward_batch(
 def uniform_count(n: int) -> int:
     """Uniforms ``box_muller`` takes for ``n`` values: 2 ceil(n/2)."""
     return 2 * ((n + 1) // 2)
+
+
+def noise_stream(root: int, conv: int, spec: ConvLayerSpec,
+                 first: int) -> np.random.Generator:
+    """Conv ``conv``'s detection-noise stream, positioned at image ``first``.
+
+    One PCG64 stream per (root, conv), advanced by ``first`` times the P =
+    ceil(C_O*V*V/2) uint64 steps each image owns.
+    """
+    stream = np.random.PCG64(np.random.SeedSequence([root, conv]))
+    per_image = uniform_count(spec.c_out * spec.valid_width ** 2) // 2
+    stream.advance(first * per_image)
+    return np.random.Generator(stream)
 
 
 def standard_normal(rng, n: int) -> np.ndarray:

@@ -4,8 +4,9 @@ A stride-1, zero-padding-free 2-D convolution over square images can be
 lowered to a matrix product in two ways: the conventional im2col patching,
 or by serializing each image row-major and presenting Q = sigma^2 delayed
 copies of the serialized stream.  The valid columns of the delayed matrix
-coincide with the im2col matrix, so a single weight-matrix multiply
-computes the layer either way.  This module holds exact reference
+(the valid time steps, selected by ``_valid_columns`` alone, from X' and
+Y' alike) coincide with the im2col matrix, so a single weight-matrix
+multiply computes the layer either way.  This module holds exact reference
 implementations of both routes so the equivalence can be checked
 mechanically.  Each route, and the defining sum it is checked against,
 is one array expression over its own read-only strided window of the
@@ -69,55 +70,43 @@ class ConvLayerSpec:
 
 @dataclass(frozen=True)
 class DelayedMatrix:
-    """Serialized-and-delayed input matrix X' with its valid-column mask.
+    """Serialized-and-delayed input matrix X'.
 
     ``data`` has shape (C_I * Q, L^2 + D_max).  Row u*Q + q holds the
     serialized channel u shifted right by D_max - D_q, zero-padded
     elsewhere: kernel element q looks *ahead* in the stream, so the tap
     carrying it must be delayed *least*.  The physical delay set is still
     exactly {D_q}; only the tap-to-kernel-element assignment is reversed.
-    ``valid_mask`` has the same width; column s + D_max is valid for
-    s = m*L + n with m, n in [0, L - sigma], and there the matrix column
-    is precisely the flattened patch at (m, n) - the im2col column.
+    Column s + D_max is valid for s = m*L + n with m, n in [0, L - sigma],
+    and there the matrix column is precisely the flattened patch at (m, n)
+    - the im2col column.  ``_valid_columns`` selects those columns, of X'
+    and of Y' alike.
     """
 
     data: np.ndarray
-    valid_mask: np.ndarray
     spec: ConvLayerSpec
 
 
-def _check_image_shape(images: np.ndarray, spec: ConvLayerSpec) -> np.ndarray:
+_AXES = {"image": ("channel", "row", "column"),
+         "kernel": ("in-channel", "out-channel", "kernel-row",
+                    "kernel-column")}
+
+
+def _check_shape(kind: str, a, spec: ConvLayerSpec) -> np.ndarray:
+    """``a`` as a C-order float array; DimensionError, naming the first
+    axis that differs, unless it has the layer's ``kind`` ("image" or
+    "kernel") tensor shape."""
     # C order lets a window view be laid over the buffer
-    images = np.asarray(images, dtype=float, order="C")
-    expected = (spec.c_in, spec.image_width, spec.image_width)
-    if images.shape != expected:
-        axis = next(
-            (name for name, got, want in zip(
-                ("channel", "row", "column"), images.shape, expected)
-             if got != want),
-            "rank",
-        )
+    a = np.asarray(a, dtype=float, order="C")
+    expected = ((spec.c_in, spec.image_width, spec.image_width)
+                if kind == "image"
+                else (spec.c_in, spec.c_out, spec.sigma, spec.sigma))
+    if a.shape != expected:
+        axis = next((name for name, got, want in zip(
+            _AXES[kind], a.shape, expected) if got != want), "rank")
         raise DimensionError(
-            f"image tensor shape {images.shape} != {expected} (axis: {axis})"
-        )
-    return images
-
-
-def _check_kernel_shape(kernels: np.ndarray, spec: ConvLayerSpec) -> np.ndarray:
-    kernels = np.asarray(kernels, dtype=float)
-    expected = (spec.c_in, spec.c_out, spec.sigma, spec.sigma)
-    if kernels.shape != expected:
-        axis = next(
-            (name for name, got, want in zip(
-                ("in-channel", "out-channel", "kernel-row", "kernel-column"),
-                kernels.shape, expected)
-             if got != want),
-            "rank",
-        )
-        raise DimensionError(
-            f"kernel tensor shape {kernels.shape} != {expected} (axis: {axis})"
-        )
-    return kernels
+            f"{kind} tensor shape {a.shape} != {expected} (axis: {axis})")
+    return a
 
 
 def conv2d_reference(images, kernels, spec: ConvLayerSpec) -> np.ndarray:
@@ -128,8 +117,8 @@ def conv2d_reference(images, kernels, spec: ConvLayerSpec) -> np.ndarray:
     (u, m, n, i, j) is x[u, m+i, n+j].  Output shape (C_O, V, V) with
     V = L - sigma + 1.
     """
-    x = _check_image_shape(images, spec)
-    w = _check_kernel_shape(kernels, spec)
+    x = _check_shape("image", images, spec)
+    w = _check_shape("kernel", kernels, spec)
     v_w = spec.valid_width
     s_u, s_m, s_n = x.strides
     window = np.ndarray((spec.c_in, v_w, v_w, spec.sigma, spec.sigma),
@@ -157,13 +146,11 @@ def deserialize(sequence: np.ndarray, image_width: int) -> np.ndarray:
 
 
 def delay_offsets(sigma: int, image_width: int) -> np.ndarray:
-    """Per-tap delay amounts D_q = floor(q / sigma) * L + (q mod sigma)."""
-    if sigma < 1:
-        raise InvalidSpecError(f"sigma must be >= 1, got {sigma}")
-    if image_width < sigma:
-        raise InvalidSpecError(
-            f"image_width {image_width} < sigma {sigma}"
-        )
+    """Per-tap delay amounts D_q = floor(q / sigma) * L + (q mod sigma);
+    InvalidSpecError unless sigma is an integer >= 1 and image_width one
+    >= sigma."""
+    check_count("sigma", sigma)
+    check_count("image_width", image_width, minimum=sigma)
     q = np.arange(sigma * sigma)
     return (q // sigma) * image_width + (q % sigma)
 
@@ -179,7 +166,7 @@ def build_delayed_matrix(images, spec: ConvLayerSpec) -> DelayedMatrix:
     carries every input channel on its own wavelength.  Rows come out in
     u*Q + q order.
     """
-    x = _check_image_shape(images, spec)
+    x = _check_shape("image", images, spec)
     n_samples = spec.image_width ** 2
     d_max = spec.d_max
     width = n_samples + d_max
@@ -193,16 +180,14 @@ def build_delayed_matrix(images, spec: ConvLayerSpec) -> DelayedMatrix:
     # both index arrays lead, so the gather comes out C-contiguous
     data = windows[np.arange(spec.c_in)[:, None],
                    delay_offsets(spec.sigma, spec.image_width)]
-
-    valid = np.zeros(width, dtype=bool)
-    _valid_columns(valid, spec)[...] = True
     return DelayedMatrix(data=data.reshape(spec.c_in * spec.q, width),
-                         valid_mask=valid, spec=spec)
+                         spec=spec)
 
 
 def _valid_columns(a: np.ndarray, spec: ConvLayerSpec) -> np.ndarray:
     """View of the valid columns s + D_max, s = m*L + n, of ``a`` as
-    (..., V, V): the first V of each length-L run from column D_max."""
+    (..., V, V): the first V of each length-L run from column D_max.  The
+    one selection of valid time steps, for X' and Y' alike."""
     v_w, l_w = spec.valid_width, spec.image_width
     span = a[..., spec.d_max:spec.d_max + v_w * l_w]
     return span.reshape(a.shape[:-1] + (v_w, l_w))[..., :v_w]
@@ -217,7 +202,7 @@ def im2col_oracle(images, spec: ConvLayerSpec) -> np.ndarray:
     entry (u, i, j, m, n) is x[u, m+i, n+j], so it stays independent of
     the delay route.
     """
-    x = _check_image_shape(images, spec)
+    x = _check_shape("image", images, spec)
     v_w = spec.valid_width
     s_u, s_m, s_n = x.strides
     window = np.ndarray((spec.c_in, spec.sigma, spec.sigma, v_w, v_w),
@@ -231,7 +216,7 @@ def kernels_to_weight_matrix(kernels, spec: ConvLayerSpec) -> np.ndarray:
 
     Column u*Q + q of row v holds w[u, v, q // sigma, q % sigma].
     """
-    w = _check_kernel_shape(kernels, spec)
+    w = _check_shape("kernel", kernels, spec)
     # (C_I, C_O, sigma, sigma) -> (C_O, C_I, Q)
     flat = w.reshape(spec.c_in, spec.c_out, spec.q).transpose(1, 0, 2)
     return flat.reshape(spec.c_out, spec.c_in * spec.q)
@@ -252,7 +237,7 @@ def gemm_conv(weight_matrix: np.ndarray, delayed: DelayedMatrix) -> np.ndarray:
 def valid_output(y_full: np.ndarray, delayed: DelayedMatrix) -> np.ndarray:
     """Copy the valid columns of Y' out as (C_O, V, V)."""
     y_full = np.asarray(y_full)
-    expected = (delayed.spec.c_out, delayed.valid_mask.size)
+    expected = (delayed.spec.c_out, delayed.data.shape[1])
     if y_full.shape != expected:
         raise DimensionError(f"Y' shape {y_full.shape} != {expected}")
     return _valid_columns(y_full, delayed.spec).copy()

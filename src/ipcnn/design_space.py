@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conv_math import ConvLayerSpec, physical_delay
+from .conv_math import ConvLayerSpec
 from .errors import InfeasibleDesignError, InvalidSpecError
-from .optics import DEFAULT_GROUP_VELOCITY
+from .optics import DEFAULT_GROUP_VELOCITY, design_delay_bank
 
 # Comparison architectures carry no delay lines; their end-to-end insertion
 # loss is taken 4 dB below the delay-buffered chain.
@@ -171,10 +171,12 @@ class SpeedResult:
 
 def delay_line_loss_db(config: HardwareConfig, image_width: int,
                        sigma: int) -> float:
-    """Loss of the longest delay line: D_max cycles at f_m, in meters."""
+    """Loss of the longest delay line, the delay bank's last tap (D_max
+    cycles at f_m).  Tap lengths do not depend on loss, and the lossless
+    bank is always feasible, so this never raises InfeasibleDesignError."""
     spec = ConvLayerSpec(config.c_in, config.c_out, sigma, image_width)
-    _, length = physical_delay(spec.d_max, config.f_m, config.group_velocity)
-    return config.loss_delay_per_meter_db * length
+    bank = design_delay_bank(spec, config.f_m, config.group_velocity)
+    return config.loss_delay_per_meter_db * bank.taps[-1].physical_length
 
 
 def speed(config: HardwareConfig, image_width: int, sigma: int) -> SpeedResult:
@@ -196,7 +198,8 @@ def speed(config: HardwareConfig, image_width: int, sigma: int) -> SpeedResult:
                 f"scale {scale} cannot support a single output "
                 f"channel of q = {config.q}"
             )
-        return config.c_in * c_out_eff * config.q * config.f_m, scale, c_out_eff
+        at_scale = replace(config, c_out=c_out_eff)
+        return architecture_mac_rate("IPCNN", at_scale), scale, c_out_eff
 
     macs, scale, c_out_eff = rate(base + delay_loss)
     lossless, _, _ = rate(base)

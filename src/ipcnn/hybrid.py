@@ -10,16 +10,12 @@ any report exactly reproducible.
 
 ``hybrid_forward`` is the model's own inference walk with the analog
 convs standing in for its conv layers; its detection noise is a function
-of (seed, conv, image), keyed by stream position: conv k draws from one
-PCG64 stream seeded by (root, k), and image n owns the P uint64 steps of
-that stream from n*P on, P = ceil(C_O*V*V/2), which hold its 2P float32
-uniforms.  A block starting at image ``first`` gets the stream advanced
-by first*P (``noise_stream``), an O(log n) jump, and ``forward_batch``
-draws the whole block's uniforms from it in one call.
+of (seed, conv, image), keyed by stream position (``analog.noise_stream``).
 """
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,10 +27,10 @@ from .analog import (
     apply_calibration,
     calibrate,
     forward_batch,
+    noise_stream,
     output_noise_std,
     program_weights,
     sample_imbalance,
-    uniform_count,
 )
 from .conv_math import ConvLayerSpec
 from .errors import DimensionError, check_count, check_seed
@@ -102,19 +98,6 @@ def build_photonic_setups(
             bias=layer.b, pad=layer.pad,
         ))
     return setups
-
-
-def noise_stream(root: int, conv: int, spec: ConvLayerSpec,
-                 first: int) -> np.random.Generator:
-    """Conv ``conv``'s detection-noise stream, positioned at image ``first``.
-
-    One PCG64 stream per (root, conv), advanced by ``first`` times the P =
-    ceil(C_O*V*V/2) uint64 steps each image owns.
-    """
-    stream = np.random.PCG64(np.random.SeedSequence([root, conv]))
-    per_image = uniform_count(spec.c_out * spec.valid_width ** 2) // 2
-    stream.advance(first * per_image)
-    return np.random.Generator(stream)
 
 
 def hybrid_forward(
@@ -282,5 +265,9 @@ def _run_jobs(jobs, fn, threads: int):
     check_count("threads", threads)
     if threads == 1:
         return [fn(job) for job in jobs]
+    # each job runs in its own copy of the caller's context, so the
+    # caller's np.errstate holds on the workers
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
+        runs = [pool.submit(contextvars.copy_context().run, fn, job)
+                for job in jobs]
+        return [run.result() for run in runs]

@@ -15,6 +15,10 @@ from .errors import DimensionError, IpcnnError
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
+# The dataset's square image width and its number of classes (digits 0-9)
+IMAGE_WIDTH = 28
+N_CLASSES = 10
+
 DATA_DIR_ENV = "IPCNN_DATA_DIR"
 
 # canonical file names, with common underscore variants
@@ -102,12 +106,12 @@ def load_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         )
     if images.shape[0] == 0:
         raise IdxParseError(f"{images_path}: holds no images")
-    above = np.flatnonzero(labels > 9)
+    above = np.flatnonzero(labels >= N_CLASSES)
     if above.size:
         # a 1-D IDX file has an 8-byte header
         raise IdxParseError(
-            f"{labels_path}: label {labels[above[0]]} above 9 at byte "
-            f"offset {8 + above[0]}")
+            f"{labels_path}: label {labels[above[0]]} above {N_CLASSES - 1} "
+            f"at byte offset {8 + above[0]}")
     return images.astype(float) / 255.0, labels.astype(np.int64)
 
 

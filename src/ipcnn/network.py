@@ -31,11 +31,9 @@ from .errors import (CheckpointError, DimensionError, InvalidSpecError,
                      IpcnnError, TrainingError, check_count)
 from .layers import (Conv2D, Dense, Flatten, GradBatch, Layer, MaxPool2,
                      ReLU, cross_entropy_loss)
+from .mnist import IMAGE_WIDTH, N_CLASSES
 
 ARCH_VERSION = 1
-
-# Width (and height) of the model's square input images, MNIST's 28.
-IMAGE_WIDTH = 28
 
 # Images per block of an inference pass, digital or hybrid.  A block's
 # largest arrays (conv2's 14 MB lowering, conv1's 6.4 MB output) stay under
@@ -156,7 +154,7 @@ class NetworkModel:
             Flatten(),
             Dense(32 * (IMAGE_WIDTH // 4) ** 2, 512, rng=rng),
             ReLU(),
-            Dense(512, 10, rng=rng),
+            Dense(512, N_CLASSES, rng=rng),
         ]
         self.metadata: dict = {"seed": seed, "trained": False}
 

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mnist import Dataset
-
-N_CLASSES = 10
-IMAGE_WIDTH = 28
+from .mnist import IMAGE_WIDTH, N_CLASSES, Dataset
 
 
 def _templates(rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,8 @@ import numpy as np
 
 from .conv_math import (
     ConvLayerSpec,
+    DelayedMatrix,
+    _valid_columns,
     build_delayed_matrix,
     conv2d_reference,
     gemm_conv,
@@ -83,11 +85,11 @@ def run_equivalence_suite(
             bad = delayed.data.copy()
             bad[spec.q - 1::spec.q] = np.roll(bad[spec.q - 1::spec.q], 1,
                                               axis=1)
-            delayed = type(delayed)(data=bad, valid_mask=delayed.valid_mask,
-                                    spec=spec)
+            delayed = DelayedMatrix(data=bad, spec=spec)
 
-        x_cols = im2col_oracle(images, spec)
-        x_valid = delayed.data[:, delayed.valid_mask]
+        # the valid columns of X' as a (C_I*Q, V, V) view, im2col to match
+        x_valid = _valid_columns(delayed.data, spec)
+        x_cols = im2col_oracle(images, spec).reshape(x_valid.shape)
         reference = conv2d_reference(images, kernels, spec)
         y_full = gemm_conv(kernels_to_weight_matrix(kernels, spec), delayed)
         y_valid = valid_output(y_full, delayed)
@@ -97,20 +99,18 @@ def run_equivalence_suite(
         err = _relative_error(y_valid, reference)
         if (not matrix_ok or err > REL_TOL) and first_failure is None:
             if not matrix_ok:
-                mism = np.argwhere(x_cols != x_valid)
-                row, col = int(mism[0][0]), int(mism[0][1])
+                row, m, n = np.argwhere(x_cols != x_valid)[0]
             else:
-                flat = np.argmax(np.abs(y_valid - reference))
-                v, m, n = np.unravel_index(flat, y_valid.shape)
-                row, col = int(v), int(m * reference.shape[2] + n)
+                row, m, n = np.unravel_index(
+                    np.argmax(np.abs(y_valid - reference)), y_valid.shape)
             first_failure = {
                 "instance": instance,
                 "spec": {
                     "c_in": spec.c_in, "c_out": spec.c_out,
                     "sigma": spec.sigma, "image_width": spec.image_width,
                 },
-                "row": row,
-                "column": col,
+                "row": int(row),
+                "column": int(m * spec.valid_width + n),
                 "relative_error": err,
             }
     return EquivalenceResult(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ipcnn.conv_math import (
     ConvLayerSpec,
+    _valid_columns,
     build_delayed_matrix,
     conv2d_reference,
     delay_offsets,
@@ -51,6 +52,19 @@ def loop_delayed_matrix(x, spec):
     cols = (m[:, None] * spec.image_width + m[None, :]).reshape(-1)
     valid[cols + spec.d_max] = True
     return data, valid
+
+
+def valid_index(spec):
+    """The columns ``_valid_columns`` selects from a row of X', in order."""
+    width = spec.image_width ** 2 + spec.d_max
+    return _valid_columns(np.arange(width), spec).reshape(-1)
+
+
+def assert_valid_index(spec):
+    """``_valid_columns`` selects exactly the loop reference's valid mask."""
+    _, valid = loop_delayed_matrix(np.zeros((spec.c_in,) + (
+        spec.image_width,) * 2), spec)
+    np.testing.assert_array_equal(valid_index(spec), np.flatnonzero(valid))
 
 
 def loop_im2col(x, spec):
@@ -167,6 +181,22 @@ class TestDelayOffsets:
         with pytest.raises(InvalidSpecError):
             delay_offsets(3, 2)
 
+    @pytest.mark.parametrize("sigma, width, message", [
+        (2.5, 6, "sigma must be an integer, got 2.5"),
+        (3.0, 6, "sigma must be an integer, got 3.0"),
+        (0, 6, "sigma must be >= 1, got 0"),
+        (3, np.nan, "image_width must be an integer, got nan"),
+        (3, 6.0, "image_width must be an integer, got 6.0"),
+        (3, 2, "image_width must be >= 3, got 2"),
+    ])
+    def test_bad_argument_rejected(self, sigma, width, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            delay_offsets(sigma, width)
+
+    def test_numpy_integers_accepted(self):
+        np.testing.assert_array_equal(delay_offsets(np.int64(3), np.int32(6)),
+                                      delay_offsets(3, 6))
+
 
 class TestDelayedMatrix:
     def test_sigma_one_is_plain_serialization(self):
@@ -176,13 +206,20 @@ class TestDelayedMatrix:
         delayed = build_delayed_matrix(x, spec)
         assert delayed.data.shape == (1, 16)
         np.testing.assert_array_equal(delayed.data[0], serialize(x[0]))
-        assert delayed.valid_mask.sum() == 16
+        assert valid_index(spec).size == 16
+        assert_valid_index(spec)
 
     def test_fig2_valid_count(self):
         spec = ConvLayerSpec(1, 1, 3, 6)
         delayed = build_delayed_matrix(np.ones((1, 6, 6)), spec)
-        assert delayed.valid_mask.sum() == 16
+        assert valid_index(spec).size == 16
+        assert_valid_index(spec)
         assert delayed.data.shape == (9, 36 + 14)
+
+    @pytest.mark.parametrize("sigma", [1, 2, 3, 5])
+    @pytest.mark.parametrize("extra", [0, 1, 4, 11])
+    def test_valid_columns_are_loop_mask(self, sigma, extra):
+        assert_valid_index(ConvLayerSpec(2, 1, sigma, sigma + extra))
 
     def test_delayed_width(self):
         # Q delayed copies per channel; the stream grows by D_max samples
@@ -196,8 +233,9 @@ class TestDelayedMatrix:
         rng = np.random.default_rng(4)
         x = rng.random((2, 8, 8))
         delayed = build_delayed_matrix(x, spec)
+        assert_valid_index(spec)
         np.testing.assert_array_equal(
-            delayed.data[:, delayed.valid_mask], im2col_oracle(x, spec))
+            delayed.data[:, valid_index(spec)], im2col_oracle(x, spec))
 
 
 class TestIm2col:
@@ -222,7 +260,8 @@ class TestGemmConv:
         x = rng.random((1, 5, 5))
         delayed = build_delayed_matrix(x, spec)
         y = gemm_conv(np.ones((1, 1)), delayed)
-        np.testing.assert_array_equal(y[0, delayed.valid_mask], serialize(x[0]))
+        assert_valid_index(spec)
+        np.testing.assert_array_equal(y[0, valid_index(spec)], serialize(x[0]))
 
     def test_matches_reference(self):
         spec = ConvLayerSpec(2, 3, 3, 6)
@@ -313,8 +352,9 @@ def test_equivalence_theorem(c_in, c_out, sigma, extra, data_seed):
     x = rng.random((c_in, width, width))
     w = rng.standard_normal((c_in, c_out, sigma, sigma))
     delayed = build_delayed_matrix(x, spec)
+    assert_valid_index(spec)
     np.testing.assert_array_equal(
-        delayed.data[:, delayed.valid_mask], im2col_oracle(x, spec))
+        delayed.data[:, valid_index(spec)], im2col_oracle(x, spec))
     y = valid_output(gemm_conv(kernels_to_weight_matrix(w, spec), delayed),
                      delayed)
     ref = conv2d_reference(x, w, spec)
@@ -330,8 +370,8 @@ def _conv_and_matrices(x, w, spec):
     delayed = build_delayed_matrix(x, spec)
     y = valid_output(gemm_conv(kernels_to_weight_matrix(w, spec), delayed),
                      delayed)
-    return (delayed.data, delayed.valid_mask, im2col_oracle(x, spec),
-            conv2d_reference(x, w, spec), y)
+    return (delayed.data, im2col_oracle(x, spec), conv2d_reference(x, w, spec),
+            y)
 
 
 class TestExactRoutes:
@@ -348,7 +388,7 @@ class TestExactRoutes:
         delayed = build_delayed_matrix(x, spec)
         data, valid = loop_delayed_matrix(x, spec)
         assert np.array_equal(delayed.data, data)
-        assert np.array_equal(delayed.valid_mask, valid)
+        assert np.array_equal(valid_index(spec), np.flatnonzero(valid))
         assert np.array_equal(im2col_oracle(x, spec), loop_im2col(x, spec))
 
     @pytest.mark.parametrize("sigma", [1, 2, 3, 5])
@@ -360,10 +400,10 @@ class TestExactRoutes:
         rng = np.random.default_rng(10 * sigma + extra)
         x = rng.standard_normal((3, width, width))
         w = rng.standard_normal((3, 2, sigma, sigma))
-        data, valid, cols, ref, y = _conv_and_matrices(x, w, spec)
+        data, cols, ref, y = _conv_and_matrices(x, w, spec)
         loop_data, loop_valid = loop_delayed_matrix(x, spec)
         assert np.array_equal(data, loop_data)
-        assert np.array_equal(valid, loop_valid)
+        assert np.array_equal(valid_index(spec), np.flatnonzero(loop_valid))
         assert np.array_equal(cols, loop_im2col(x, spec))
         expected = loop_conv_oracle(x, w, 3, 2, sigma, width)
         np.testing.assert_allclose(ref, expected, rtol=1e-12, atol=1e-12)

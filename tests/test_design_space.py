@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from ipcnn.design_space import (
 from ipcnn.errors import InfeasibleDesignError, InvalidSpecError
 
 CFG = HardwareConfig()
+# the design-space defaults' speed-curve grid: 20 rates x 3 delay losses
+F_M_GRID = [0.5e9 * k for k in range(1, 21)]
+LOSS_LEVELS = [0.05, 0.5, 5.0]
 # 2 dB chain: below the comparison architectures' 4 dB loss advantage
 LOW_LOSS = HardwareConfig(loss_wdm_to_pd_db=0.5, loss_modulator_db=0.5,
                           loss_input_port_db=0.5, loss_wdm_stage_db=0.5)
@@ -89,6 +94,36 @@ class TestSpeed:
         loss = delay_line_loss_db(CFG, 28, 3)
         expected = 0.5 * 58 / 5e9 * CFG.group_velocity
         assert loss == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("loss_pm", LOSS_LEVELS)
+    def test_delay_loss_closed_form(self, loss_pm):
+        # the delay bank's last tap: D_max = (sigma - 1)(L + 1) cycles
+        velocity = CFG.group_velocity
+        for width in range(3, 60):
+            for f_m in F_M_GRID:
+                cfg = replace(CFG, f_m=f_m, loss_delay_per_meter_db=loss_pm)
+                loss = delay_line_loss_db(cfg, width, 3)
+                assert type(loss) is float
+                assert loss == loss_pm * (2 * (width + 1) * velocity / f_m)
+
+    @pytest.mark.parametrize("c_out", [32, 64])
+    @pytest.mark.parametrize("loss_pm", LOSS_LEVELS)
+    def test_speed_is_ipcnn_mac_rate(self, c_out, loss_pm):
+        feasible = 0
+        for f_m in F_M_GRID:
+            cfg = replace(CFG, c_out=c_out, f_m=f_m,
+                          loss_delay_per_meter_db=loss_pm)
+            try:
+                result = speed(cfg, 28, 3)
+            except InfeasibleDesignError:
+                continue
+            feasible += 1
+            at_scale = replace(cfg, c_out=result.effective_c_out)
+            assert result.macs_per_second == architecture_mac_rate(
+                "IPCNN", at_scale)
+            assert result.macs_per_second == (64 * result.effective_c_out
+                                              * 9 * f_m)
+        assert feasible > 0
 
     def test_lower_rate_costs_loss(self):
         # halving f_m doubles the line length, adding delay loss

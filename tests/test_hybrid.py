@@ -245,6 +245,17 @@ class TestSweeps:
                                threads=3)
         assert serial == threaded
 
+    def test_workers_keep_callers_errstate(self):
+        # so a sweep's float errors do not depend on its thread count
+        with np.errstate(over="raise"):
+            modes = hybrid._run_jobs(range(6), lambda job: np.geterr()["over"],
+                                     threads=2)
+            assert modes == ["raise"] * 6
+            with pytest.raises(FloatingPointError, match="overflow"):
+                hybrid._run_jobs([1.0, 10.0],
+                                 lambda job: np.float64(1e308) * job,
+                                 threads=2)
+
     def test_imbalance_sweep_stats(self, model, samples):
         images, labels = samples
         stats = sweep_imbalance(model, images, labels, [0.0, 8.0], trials=3,

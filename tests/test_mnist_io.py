@@ -6,9 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from ipcnn import network, synth
 from ipcnn.mnist import (
     IMAGE_MAGIC,
+    IMAGE_WIDTH,
     LABEL_MAGIC,
+    N_CLASSES,
     Dataset,
     IdxParseError,
     find_mnist_dir,
@@ -117,7 +120,8 @@ class TestLoadPair:
         ip, lp = tmp_path / "i", tmp_path / "l"
         write_idx(ip, two_images)
         write_idx(lp, np.array([9, 10], dtype=np.uint8))
-        with pytest.raises(IdxParseError, match="label 10 .* offset 9"):
+        with pytest.raises(IdxParseError,
+                           match="label 10 above 9 at byte offset 9"):
             load_pair(ip, lp)
 
     def test_wrong_rank_for_images(self, tmp_path, two_labels):
@@ -162,3 +166,11 @@ class TestDirectoryResolution:
         (tmp_path / "t10k-labels-idx1-ubyte").unlink()
         with pytest.raises(FileNotFoundError, match="t10k-labels"):
             load_mnist(tmp_path)
+
+
+def test_dataset_constants_defined_once():
+    # the IDX dataset defines them; the synthetic set and the model take them
+    assert (IMAGE_WIDTH, N_CLASSES) == (28, 10)
+    assert (synth.IMAGE_WIDTH, synth.N_CLASSES) == (IMAGE_WIDTH, N_CLASSES)
+    assert network.IMAGE_WIDTH == IMAGE_WIDTH
+    assert network.NetworkModel().n_classes == N_CLASSES
