@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", type=str, default=".",
                         help="directory for CSV/JSON outputs")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps")
+                        help="threads a sweep's jobs run on, the calling "
+                             "thread included")
     parser.add_argument("command", choices=sorted(COMMANDS))
     return parser
 

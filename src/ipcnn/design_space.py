@@ -356,19 +356,15 @@ def speed_curve(
             cfg = replace(config, f_m=f_m, loss_delay_per_meter_db=loss_pm)
             try:
                 result = speed(cfg, image_width, sigma)
-                rows.append({
-                    "loss_per_meter_db": loss_pm,
-                    "f_m_hz": f_m,
-                    "macs_per_second": result.macs_per_second,
-                    "lossless_macs_per_second": result.lossless_macs_per_second,
-                    "feasible": True,
-                })
+                rates = (result.macs_per_second,
+                         result.lossless_macs_per_second)
             except InfeasibleDesignError:
-                rows.append({
-                    "loss_per_meter_db": loss_pm,
-                    "f_m_hz": f_m,
-                    "macs_per_second": 0.0,
-                    "lossless_macs_per_second": 0.0,
-                    "feasible": False,
-                })
+                rates = None
+            rows.append({
+                "loss_per_meter_db": loss_pm,
+                "f_m_hz": f_m,
+                "macs_per_second": rates[0] if rates else 0.0,
+                "lossless_macs_per_second": rates[1] if rates else 0.0,
+                "feasible": rates is not None,
+            })
     return rows

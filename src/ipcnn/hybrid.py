@@ -15,8 +15,6 @@ of (seed, conv, image), keyed by stream position (``analog.noise_stream``).
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +31,9 @@ from .analog import (
     sample_imbalance,
 )
 from .conv_math import ConvLayerSpec
-from .errors import DimensionError, check_count, check_seed
+from .errors import DimensionError, InvalidSpecError, check_count, check_seed
 from .layers import Conv2D, MaxPool2, pad_hw
-from .network import IMAGE_WIDTH, NetworkModel, check_labels
+from .network import IMAGE_WIDTH, NetworkModel, check_labels, map_on_threads
 
 
 @dataclass(frozen=True)
@@ -123,6 +121,8 @@ def hybrid_forward(
     size), on the images after it, or on the thread that ran its batch.
     A noisy call runs the odd-numbered batches on one helper thread, joined
     before it returns or raises; a noiseless or one-batch call starts none.
+    No helper inside a sweep job: a job of a sweep on two or more threads
+    runs its batches in turn on its share's thread (``map_on_threads``).
     """
     if images.shape[1:] != (IMAGE_WIDTH, IMAGE_WIDTH):
         raise DimensionError(f"images of shape {images.shape} != "
@@ -197,8 +197,10 @@ def sweep_noise(
     batch_size: int = 128,
     threads: int = 1,
 ) -> list[dict]:
-    """Accuracy per (noise level, seed); one InferenceReport each.  Every
-    seed must be an integer >= 0."""
+    """Accuracy per (noise level, seed); one InferenceReport each.  Both
+    lists must be non-empty, every seed an integer >= 0, and ``threads``,
+    the threads the jobs run on, an integer >= 1."""
+    _check_sweep(threads, levels_dbc=levels_dbc, seeds=seeds)
     for seed in seeds:
         check_seed("seed", seed)
     jobs = [(level, seed) for level in levels_dbc for seed in seeds]
@@ -209,7 +211,7 @@ def sweep_noise(
                               seed=seed, batch_size=batch_size)
         return {"neop_dbc": level, "seed": seed, "accuracy": report.accuracy}
 
-    return _run_jobs(jobs, run, threads)
+    return map_on_threads(run, jobs, threads, "ipcnn-sweep")
 
 
 def sweep_imbalance(
@@ -226,7 +228,9 @@ def sweep_imbalance(
     threads: int = 1,
 ) -> list[dict]:
     """Box-plot statistics of accuracy over fresh imbalance draws per level;
-    ``trials`` must be an integer >= 1 and ``base_seed`` one >= 0."""
+    ``levels_db`` must be non-empty, ``trials`` and ``threads`` integers
+    >= 1 and ``base_seed`` one >= 0."""
+    _check_sweep(threads, levels_db=levels_db)
     check_count("trials", trials)
     check_seed("base_seed", base_seed)
     jobs = [(li, t) for li in range(len(levels_db)) for t in range(trials)]
@@ -243,7 +247,7 @@ def sweep_imbalance(
         )
         return li, report.accuracy
 
-    results = _run_jobs(jobs, run, threads)
+    results = map_on_threads(run, jobs, threads, "ipcnn-sweep")
     out = []
     for li, level in enumerate(levels_db):
         acc = np.array(sorted(a for i, a in results if i == li))
@@ -261,13 +265,9 @@ def sweep_imbalance(
     return out
 
 
-def _run_jobs(jobs, fn, threads: int):
+def _check_sweep(threads: int, **lists) -> None:
+    """Raise InvalidSpecError for a bad thread count or an empty list."""
     check_count("threads", threads)
-    if threads == 1:
-        return [fn(job) for job in jobs]
-    # each job runs in its own copy of the caller's context, so the
-    # caller's np.errstate holds on the workers
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        runs = [pool.submit(contextvars.copy_context().run, fn, job)
-                for job in jobs]
-        return [run.result() for run in runs]
+    for name, values in lists.items():
+        if len(values) == 0:
+            raise InvalidSpecError(f"{name} must not be empty")

@@ -130,10 +130,9 @@ class Conv2D(Layer):
     """Stride-1 2-D convolution (cross-correlation) with zero padding."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, pad: int = 1,
-                 rng: np.random.Generator | None = None):
+                 *, rng: np.random.Generator):
         super().__init__()
         self.c_in, self.c_out, self.kernel, self.pad = c_in, c_out, kernel, pad
-        rng = rng or np.random.default_rng()
         fan_in = c_in * kernel * kernel
         self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                             size=(c_out, c_in, kernel, kernel))
@@ -354,10 +353,8 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, n_in: int, n_out: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, n_in: int, n_out: int, *, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng()
         self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
         self.b = np.zeros(n_out)
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]

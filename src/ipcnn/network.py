@@ -12,6 +12,8 @@ layer's over the whole batch; its gradients are bit-identical to those of
 one thread (see ``loss_and_backward``).  Inference, digital or hybrid,
 is one blocked walk on two threads (see ``NetworkModel.logits``), in
 which hybrid inference runs its analog convs in place of the conv layers.
+``map_on_threads`` starts every helper thread of the package, and a call
+nested in one of its shares, such as a sweep job's walk, starts none.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import hashlib
 import json
 import zipfile
 import zlib
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -69,57 +72,47 @@ def check_labels(labels, n_images: int, n_classes: int) -> np.ndarray:
     return labels
 
 
-def run_on_two_threads(run, starts, name: str | None,
-                       helper: ThreadPoolExecutor | None = None) -> None:
-    """``run(starts[1::2])`` on one helper thread while the calling thread
-    runs ``run(starts[0::2])``; fewer than two starts, or no ``name``,
-    start no thread.
+# Set in each share of a ``map_on_threads`` call, so a call nested in it
+# runs inline instead of starting threads of its own.
+_IN_SHARE = contextvars.ContextVar("ipcnn_in_share", default=False)
 
-    The helper is ``helper``'s worker, or else a thread named ``name``
-    started for this call; either way its share is done before this
-    returns or raises, and an error of either thread is raised.  The
-    helper runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds on both threads.
+
+def map_on_threads(fn, items, threads: int, name: str | None,
+                   pool: ThreadPoolExecutor | None = None) -> list:
+    """``[fn(item) for item in items]``, on up to ``threads`` threads.
+
+    Item i runs in share i mod n, n = min(``threads``, len(items)).  Share
+    0 runs on the calling thread, the others on ``pool`` or else on threads
+    named ``name`` started for this call.  Each share runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in all of
+    them, and every share is done before this returns or raises.  One
+    share, no ``name``, or a call nested in a share of another runs every
+    item inline and starts no thread.
     """
-    if name is None or len(starts) < 2:
-        run(starts)
-        return
+    items = list(items)
+    n = min(threads, len(items))
+    if n < 2 or name is None or _IN_SHARE.get():
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+
+    def share(k):
+        _IN_SHARE.set(True)
+        for i in range(k, len(items), n):
+            results[i] = fn(items[i])
+
     with contextlib.ExitStack() as stack:
-        if helper is None:
-            helper = stack.enter_context(ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=name))
-        share = helper.submit(contextvars.copy_context().run, run,
-                              starts[1::2])
+        if pool is None:
+            pool = stack.enter_context(ThreadPoolExecutor(
+                max_workers=n - 1, thread_name_prefix=name))
+        helpers = [pool.submit(contextvars.copy_context().run, share, k)
+                   for k in range(1, n)]
         try:
-            run(starts[0::2])
+            contextvars.copy_context().run(share, 0)
         finally:
-            share.result()
-
-
-class StepState:
-    """What the training steps of one ``train`` call keep from one step to
-    the next: the layers' full-batch arrays (``arrays``, see ``GradBatch``)
-    and one helper thread (``helper``), started by the first step that
-    splits its batch.
-
-    Arrays made afresh by each step are faulted in afresh and split the
-    heap.  A helper thread started afresh for each stage of each step may
-    find its predecessor's malloc arena still taken and open another one,
-    which raised an epoch's peak memory by about 23 MiB in half the runs.
-    Leaving the ``with`` block joins the helper and drops the arrays.
-    """
-
-    def __init__(self):
-        self.arrays = {}
-        self.helper = ThreadPoolExecutor(max_workers=1,
-                                         thread_name_prefix="ipcnn-train")
-
-    def __enter__(self) -> StepState:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.helper.shutdown()
-        self.arrays.clear()
+            futures.wait(helpers)
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 @dataclass
@@ -178,7 +171,8 @@ class NetworkModel:
         return x
 
     def loss_and_backward(self, x: np.ndarray, labels: np.ndarray,
-                          kept: StepState | None = None) -> float:
+                          arrays: dict | None = None,
+                          helper: ThreadPoolExecutor | None = None) -> float:
         """Mean loss of a training batch; fills every parameter gradient.
 
         The batch runs through the network in two parts, cut at the
@@ -198,44 +192,38 @@ class NetworkModel:
         fewer) is one part and starts no thread: a one-image part's dense
         GEMMs are matrix-vector products, which numpy rounds differently.
 
-        ``kept``, a ``StepState`` that outlives the call, keeps the layers'
-        full-batch arrays for the next call with as many images, and its
-        helper thread takes the helper's share of each stage.  ``train``
-        passes one to all its steps; without it each stage starts a thread.
-        A step that raises drops every layer's ``state`` before it does.
+        ``arrays``, a dict that outlives the call, keeps the layers'
+        full-batch arrays for the next call with as many images (see
+        ``GradBatch``), and ``helper``'s worker takes the helper's share of
+        each stage.  ``train`` passes both to all its steps; without a
+        ``helper`` each stage starts a thread.  A step that raises drops
+        every layer's ``state`` before it does.
         """
         n = len(x)
         cut = SPLIT_ALIGN * ((n + SPLIT_ALIGN) // (2 * SPLIT_ALIGN))
         parts = ([slice(0, cut), slice(cut, n)] if 0 < cut < n - 1
                  else [slice(0, n)])
-        arrays, helper = ((None, None) if kept is None
-                          else (kept.arrays, kept.helper))
         batches = [GradBatch(n, layer, arrays) if layer.params else None
                    for layer in self.layers]
-        logits = [None] * len(parts)
 
-        def forward(part_ids):
-            for i in part_ids:
-                y, first = x[parts[i]], parts[i].start
-                for layer, batch in zip(self.layers, batches):
-                    extra = {} if batch is None else {"batch": batch}
-                    y = layer.forward(y, train=True, first=first, **extra)
-                logits[i] = y
+        def forward(part):
+            y = x[part]
+            for layer, batch in zip(self.layers, batches):
+                extra = {} if batch is None else {"batch": batch}
+                y = layer.forward(y, train=True, first=part.start, **extra)
+            return y
 
-        def backward(part_ids):
-            for i in part_ids:
-                g, first = grad[parts[i]], parts[i].start
-                for layer in reversed(self.layers[1:]):
-                    g = layer.backward(g, first=first)
-                # nothing reads the gradient with respect to the input images
-                self.layers[0].backward(g, input_grad=False, first=first)
+        def backward(part):
+            g = grad[part]
+            for layer in reversed(self.layers[1:]):
+                g = layer.backward(g, first=part.start)
+            # nothing reads the gradient with respect to the input images
+            self.layers[0].backward(g, input_grad=False, first=part.start)
 
         try:
-            run_on_two_threads(forward, range(len(parts)), "ipcnn-train",
-                               helper)
+            logits = map_on_threads(forward, parts, 2, "ipcnn-train", helper)
             loss, grad = cross_entropy_loss(np.concatenate(logits), labels)
-            run_on_two_threads(backward, range(len(parts)), "ipcnn-train",
-                               helper)
+            map_on_threads(backward, parts, 2, "ipcnn-train", helper)
         except BaseException:
             # a pass cut short would leave its masks and GradBatches here
             for layer in self.layers:
@@ -246,12 +234,11 @@ class NetworkModel:
         groups = ([reductions[:-1], reductions[-1:]] if len(parts) > 1
                   else [reductions])
 
-        def reduce(own_groups):
-            for group in own_groups:
-                for batch in group:
-                    batch.reduce()
+        def reduce(group):
+            for batch in group:
+                batch.reduce()
 
-        run_on_two_threads(reduce, groups, "ipcnn-train", helper)
+        map_on_threads(reduce, groups, 2, "ipcnn-train", helper)
         return loss
 
     def logits(self, x: np.ndarray, batch_size: int = INFER_BLOCK,
@@ -260,7 +247,7 @@ class NetworkModel:
 
         The one inference walk: batches of ``batch_size`` images alternate
         between the calling thread and a helper named ``thread`` (none if
-        ``thread`` is None, see ``run_on_two_threads``), and each batch
+        ``thread`` is None, see ``map_on_threads``), and each batch
         runs through every layer in blocks of at most ``INFER_BLOCK``
         images.  ``conv``, if given, stands in for the conv layers: a
         block's k-th conv is ``conv(k, block, first)``, where ``first`` is
@@ -269,19 +256,18 @@ class NetworkModel:
         check_count("batch size", batch_size)
         out = np.empty((len(x), self.n_classes))
 
-        def run(batch_starts):
-            for start in batch_starts:
-                end = min(start + batch_size, len(x))
-                for first in range(start, end, INFER_BLOCK):
-                    y, k = x[first:min(first + INFER_BLOCK, end)], 0
-                    for layer in self.layers:
-                        if conv is not None and isinstance(layer, Conv2D):
-                            y, k = conv(k, y, first), k + 1
-                        else:
-                            y = layer.forward(y)
-                    out[first:first + len(y)] = y
+        def run(start):
+            end = min(start + batch_size, len(x))
+            for first in range(start, end, INFER_BLOCK):
+                y, k = x[first:min(first + INFER_BLOCK, end)], 0
+                for layer in self.layers:
+                    if conv is not None and isinstance(layer, Conv2D):
+                        y, k = conv(k, y, first), k + 1
+                    else:
+                        y = layer.forward(y)
+                out[first:first + len(y)] = y
 
-        run_on_two_threads(run, range(0, len(x), batch_size), thread)
+        map_on_threads(run, range(0, len(x), batch_size), 2, thread)
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -327,13 +313,21 @@ def train(
     grads = model.gradients()
     velocity = [np.zeros_like(p) for p in params]
     n = len(train_images)
-    with StepState() as kept:
+    # The steps share one dict of the layers' full-batch arrays and one
+    # helper thread.  Arrays made afresh by each step are faulted in afresh
+    # and split the heap; a helper started afresh for each stage of each
+    # step may find its predecessor's malloc arena still taken and open
+    # another, which raised an epoch's peak memory by about 23 MiB in half
+    # the runs.
+    arrays = {}
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="ipcnn-train") as helper:
         for epoch in range(hyper.epochs):
             order = rng.permutation(n)
             for batch_idx, start in enumerate(range(0, n, hyper.batch_size)):
                 sel = order[start:start + hyper.batch_size]
                 loss = model.loss_and_backward(train_images[sel], labels[sel],
-                                               kept=kept)
+                                               arrays, helper)
                 if not np.isfinite(loss):
                     raise TrainingError(
                         f"loss diverged at epoch {epoch}, batch {batch_idx}"

@@ -22,7 +22,7 @@ from ipcnn.hybrid import (
     sweep_noise,
 )
 from ipcnn.layers import Conv2D, pad_hw
-from ipcnn.network import Hyperparams, NetworkModel, train
+from ipcnn.network import Hyperparams, NetworkModel, map_on_threads, train
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,15 @@ def serial_forward(model, images, setups, rng, batch_size=128):
             conv += 1
         logits.append(x)
     return np.concatenate(logits) if logits else np.zeros((0, 10))
+
+
+def started_threads(monkeypatch):
+    """A list that records the name of every Thread started from now on."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda t: (started.append(t.name), start(t)))
+    return started
 
 
 def max_rel(a, b):
@@ -248,13 +257,22 @@ class TestSweeps:
     def test_workers_keep_callers_errstate(self):
         # so a sweep's float errors do not depend on its thread count
         with np.errstate(over="raise"):
-            modes = hybrid._run_jobs(range(6), lambda job: np.geterr()["over"],
-                                     threads=2)
+            modes = map_on_threads(lambda job: np.geterr()["over"], range(6),
+                                   2, "ipcnn-sweep")
             assert modes == ["raise"] * 6
             with pytest.raises(FloatingPointError, match="overflow"):
-                hybrid._run_jobs([1.0, 10.0],
-                                 lambda job: np.float64(1e308) * job,
-                                 threads=2)
+                map_on_threads(lambda job: np.float64(1e308) * job,
+                               [1.0, 10.0], 2, "ipcnn-sweep")
+
+    def test_noisy_sweep_starts_one_thread(self, model, samples,
+                                           monkeypatch):
+        # the jobs' noisy walks run inline in their shares: ten jobs used
+        # to start a pool of two and a walk helper each
+        started = started_threads(monkeypatch)
+        images, labels = samples
+        sweep_noise(model, images, labels, [-10.0, -20.0], list(range(5)),
+                    batch_size=4, threads=2)
+        assert len(started) == 1 and started[0].startswith("ipcnn-sweep")
 
     def test_imbalance_sweep_stats(self, model, samples):
         images, labels = samples
@@ -450,16 +468,8 @@ class TestNoiseAhead:
                                np.random.default_rng(0), batch_size=8)
             assert threading.active_count() == before
 
-    @staticmethod
-    def _started_threads(monkeypatch):
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda t: (started.append(t.name), start(t)))
-        return started
-
     def test_noiseless_call_starts_no_thread(self, model, monkeypatch):
-        started = self._started_threads(monkeypatch)
+        started = started_threads(monkeypatch)
         images = np.random.default_rng(9).random((20, 28, 28))
         setups = build_photonic_setups(model, imbalance_db=6.0,
                                        calibration=True)
@@ -470,7 +480,7 @@ class TestNoiseAhead:
     def test_one_batch_call_starts_no_thread(self, model, monkeypatch):
         # a memory probe that starts and stops tracemalloc around each
         # forward_batch of a one-batch call relies on no other thread
-        started = self._started_threads(monkeypatch)
+        started = started_threads(monkeypatch)
         images = np.random.default_rng(9).random((100, 28, 28))
         setups = build_photonic_setups(model, neop_dbc=-10.0)
         for batch_size in (100, 128):
@@ -479,7 +489,7 @@ class TestNoiseAhead:
         assert started == []
 
     def test_noisy_batches_share_one_helper(self, model, monkeypatch):
-        started = self._started_threads(monkeypatch)
+        started = started_threads(monkeypatch)
         images = np.random.default_rng(9).random((40, 28, 28))
         hybrid_forward(model, images,
                        build_photonic_setups(model, neop_dbc=-10.0),
@@ -711,6 +721,24 @@ class TestBadCounts:
         images, labels = samples
         with pytest.raises(InvalidSpecError, match="trials"):
             sweep_imbalance(model, images, labels, [6.0], trials=0)
+
+    @pytest.mark.parametrize("call, name", [
+        ("sweep_noise-levels", "levels_dbc"), ("sweep_noise-seeds", "seeds"),
+        ("sweep_imbalance", "levels_db")])
+    def test_empty_sweep_list(self, model, samples, monkeypatch, call, name):
+        # each used to return [] without a word
+        images, labels = samples
+        monkeypatch.setattr(hybrid, "infer_hybrid", None)  # no job may run
+        run = {
+            "sweep_noise-levels": lambda: sweep_noise(
+                model, images, labels, [], [0]),
+            "sweep_noise-seeds": lambda: sweep_noise(
+                model, images, labels, [-10.0], []),
+            "sweep_imbalance": lambda: sweep_imbalance(
+                model, images, labels, [], trials=2),
+        }[call]
+        with pytest.raises(InvalidSpecError, match=f"{name} must not be"):
+            run()
 
     @pytest.mark.parametrize("call", [
         "sweep_imbalance-trials", "infer_hybrid-probe_repeats",

@@ -1,11 +1,14 @@
+import ast
 import collections
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,12 @@ from ipcnn.network import (
     Hyperparams,
     NetworkModel,
     load_checkpoint,
+    map_on_threads,
     save_checkpoint,
     train,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ipcnn"
 
 # one-part batches (up to 9 images: a one-image part's dense GEMMs round
 # differently), the smallest split (8 + 2), even and uneven parts, and the
@@ -188,7 +194,8 @@ class TestTrainingStep:
         x, y = train_data()
         hyper = Hyperparams(epochs=1, batch_size=batch_size, seed=2)
         ref = NetworkModel(seed=0)
-        ref.loss_and_backward = lambda xb, yb, kept: serial_step(ref, xb, yb)
+        ref.loss_and_backward = (
+            lambda xb, yb, arrays, helper: serial_step(ref, xb, yb))
         train(ref, x, y, hyper)
         model = train(NetworkModel(seed=0), x, y, hyper)
         assert model.model_hash() == ref.model_hash()
@@ -343,6 +350,81 @@ class TestTrainingStep:
         with pytest.raises(RuntimeError, match="cut"):
             model.loss_and_backward(x, y)
         assert [layer.state for layer in model.layers] == [{}] * 10
+
+
+class TestMapOnThreads:
+    """``map_on_threads``, the one function that starts helper threads."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n_items", [0, 1, 5, 7])
+    def test_results_in_item_order(self, threads, n_items):
+        caller = threading.current_thread()
+        ran = map_on_threads(lambda i: (i, threading.current_thread()),
+                             range(n_items), threads, "ipcnn-test")
+        assert [i for i, _ in ran] == list(range(n_items))
+        # item i runs in share i mod n, and share 0 on the calling thread
+        n = min(threads, n_items)
+        for i, thread in ran:
+            assert thread is ran[i % n][1]
+            assert (thread is caller) == (i % n == 0)
+
+    def test_nested_call_starts_no_thread(self, monkeypatch):
+        started = started_threads(monkeypatch)
+
+        def share(item):
+            return map_on_threads(
+                lambda j: (item, j, threading.current_thread()), range(3),
+                2, "ipcnn-inner")
+
+        out = map_on_threads(share, range(2), 2, "ipcnn-outer")
+        assert [t.name.split("_")[0] for t in started] == ["ipcnn-outer"]
+        for item, inner in enumerate(out):
+            assert [(i, j) for i, j, _ in inner] == [(item, j)
+                                                     for j in range(3)]
+            assert len({thread for *_, thread in inner}) == 1
+
+    @pytest.mark.parametrize("own_pool", [True, False])
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_error_raised_after_every_share_joins(self, monkeypatch, bad,
+                                                  own_pool):
+        # item ``bad`` fails at once, in the caller's share (0) or the
+        # helper's (1); the other share's items take a while
+        started = started_threads(monkeypatch)
+        done = []
+
+        def fn(i):
+            if i == bad:
+                raise RuntimeError(f"item {i}")
+            time.sleep(0.05)
+            done.append(i)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(RuntimeError, match=f"item {bad}"):
+                map_on_threads(fn, range(4), 2, "ipcnn-test",
+                               None if own_pool else pool)
+            assert sorted(done) == [i for i in range(4) if i % 2 != bad % 2]
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_one_function_starts_threads(self):
+        # a thread started anywhere else would escape the runner's rules:
+        # shares joined before it returns, nested calls inline
+        owners = {("network", "map_on_threads"), ("network", "train")}
+        found = set()
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=path.name)
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and _callee(node) in (
+                            "Thread", "ThreadPoolExecutor"):
+                        found.add((path.stem, getattr(top, "name", None)))
+        assert ("network", "map_on_threads") in found
+        assert found <= owners
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
 
 
 class TestTrainInputs:
