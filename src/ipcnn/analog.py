@@ -25,16 +25,16 @@ element, then scaled by the digital rescale.  A digital calibration
 estimates the path gains from one-hot probes and pre-compensates the
 programmed weights.
 
-Every Gaussian value comes from ``box_muller``, which turns 2 ceil(n/2)
-float32 uniforms into n N(0, 1) values.  The values have float32
-precision, and their magnitude is at most sqrt(2 ln 2**24) = 5.77, where
-a true Gaussian goes past with probability 8e-9 per value.
-``standard_normal`` draws those uniforms in one ``rng.random`` call;
-``forward_batch`` draws a whole block's in one call, one row of 2P
-uniforms per image, P = ceil(C_O*V*V/2).  A numpy generator packs two
-float32 uniforms into each uint64 step of its bit generator, so image b
-takes the P steps after the first b*P: the same values as P-step draws
-image by image.  So detection noise is keyed by stream position
+Every Gaussian value comes from ``box_muller``, which turns ceil(n/2)
+uint64 steps of a generator into n N(0, 1) values: the two uint32 halves
+of each step give two 23-bit uniforms, the first half of them radii and
+the second angles.  The values have float32 precision, and their
+magnitude is at most sqrt(2 ln 2**23) = 5.65, where a true Gaussian goes
+past with probability 1.6e-8 per value.  ``standard_normal`` draws those
+steps in one ``rng.integers`` call, and ``forward_batch`` draws a whole
+block's in one call, one row of P = ceil(C_O*V*V/2) steps per image, so
+image b takes the P steps after the first b*P: the same values as P-step
+draws image by image.  So detection noise is keyed by stream position
 (``noise_stream``): conv k of a pass rooted at r draws from one PCG64
 stream seeded by (r, k), and image n owns its P steps from n*P on.  A
 block starting at image ``first`` gets the stream advanced by first*P,
@@ -70,6 +70,14 @@ _ZERO_KERNEL_EPS = 1e-30
 # 10**100 here, far from float64's 1.8e308.  At 5000 dB the conv GEMM
 # overflows and the logits turn NaN.
 MAX_IMBALANCE_DB = 1000.0
+
+# The bits of float32 1.0: OR'd over 23 random mantissa bits, they give a
+# uniform float in [1, 2).
+_FLOAT32_ONE = np.uint32(0x3F800000)
+
+# Images whose noise one float64 buffer scales, reused for each group:
+# 4 of conv1's 25,088 values each fill 784 KiB, which stays in cache.
+_NOISE_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -154,11 +162,12 @@ def forward_batch(
     Computes rescale * (im2col(x) @ (gains * settings)) plus one Gaussian
     value of std ``output_noise_std`` per output element: the sum of the Q
     independent branch noises at each valid time step.  The noise of a
-    block is one ``rng.random((B, 2P), dtype=np.float32)`` call, P =
-    ceil(C_O*V*V/2), none for an empty block; image b's values are ``std *
-    box_muller(row b, C_O*V*V)``, laid out as its (C_O, V, V) output, so
-    they have float32 precision and a tail cut at 5.77 std.  A noisy call
-    without ``rng`` raises InvalidSpecError.
+    block is ``std * standard_normal(rng, B, C_O*V*V)``, one
+    ``rng.integers`` call for a (B, P) array of uint64 steps, P =
+    ceil(C_O*V*V/2), none for an empty block; image b's values come from
+    row b, laid out as its (C_O, V, V) output, so they have float32
+    precision and a tail cut at 5.65 std.  A noisy call without ``rng``
+    raises InvalidSpecError.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 4 or images.shape[1:] != (
@@ -182,23 +191,26 @@ def forward_batch(
     eff = faults.gains(spec) * programming.settings     # (C_I, Q, C_O)
     w_eff = programming.rescale * eff.reshape(spec.c_in * spec.q, spec.c_out)
     out = w_eff.T @ cols.T                              # (C_O, B*V*V)
+    del cols  # the noise arrays below can take the lowering's memory
     if std > 0 and len(images):
-        # each image's (C_O, V*V) columns take its row while in cache;
-        # scaled in float64, which holds any std below the 3080 dBc cap
-        per_image = dims[1] * dims[2]
-        scaled = np.empty((spec.c_out, per_image))
-        u = rng.random((len(images), uniform_count(scaled.size)),
-                       dtype=np.float32)
-        for row, start in zip(u, range(0, out.shape[1], per_image)):
-            z = box_muller(row, scaled.size).reshape(scaled.shape)
-            np.multiply(z, std, out=scaled, dtype=np.float64)
-            out[:, start:start + per_image] += scaled
+        b, per_image = len(images), dims[1] * dims[2]
+        z = standard_normal(rng, b, spec.c_out * per_image)
+        z = z.reshape(b, spec.c_out, per_image).transpose(1, 0, 2)
+        rows = out.reshape(spec.c_out, b, per_image)
+        # scaled in float64, which holds any std below the 3080 dBc cap,
+        # a few images at a time into one buffer
+        scaled = np.empty((spec.c_out, _NOISE_CHUNK, per_image))
+        for start in range(0, b, _NOISE_CHUNK):
+            part = z[:, start:start + _NOISE_CHUNK]
+            buffer = scaled[:, :part.shape[1]]
+            np.multiply(part, std, out=buffer, dtype=np.float64)
+            rows[:, start:start + _NOISE_CHUNK] += buffer
     return rows_to_batch(out, dims)
 
 
-def uniform_count(n: int) -> int:
-    """Uniforms ``box_muller`` takes for ``n`` values: 2 ceil(n/2)."""
-    return 2 * ((n + 1) // 2)
+def step_count(n: int) -> int:
+    """uint64 steps ``box_muller`` takes for ``n`` values: ceil(n/2)."""
+    return (n + 1) // 2
 
 
 def noise_stream(root: int, conv: int, spec: ConvLayerSpec,
@@ -209,42 +221,53 @@ def noise_stream(root: int, conv: int, spec: ConvLayerSpec,
     ceil(C_O*V*V/2) uint64 steps each image owns.
     """
     stream = np.random.PCG64(np.random.SeedSequence([root, conv]))
-    per_image = uniform_count(spec.c_out * spec.valid_width ** 2) // 2
-    stream.advance(first * per_image)
+    stream.advance(first * step_count(spec.c_out * spec.valid_width ** 2))
     return np.random.Generator(stream)
 
 
-def standard_normal(rng, n: int) -> np.ndarray:
-    """``n`` N(0, 1) values, float32: ``box_muller`` of one
-    ``rng.random(uniform_count(n), dtype=np.float32)`` call."""
-    return box_muller(rng.random(uniform_count(n), dtype=np.float32), n)
+def standard_normal(rng, *shape: int) -> np.ndarray:
+    """N(0, 1) float32 values of ``shape``: ``box_muller`` of one
+    ``rng.integers`` call for ``step_count(shape[-1])`` uint64 steps per
+    row, so row i takes the steps from i * step_count(shape[-1]) on."""
+    *rows, n = shape
+    steps = rng.integers(0, 2 ** 64, size=(*rows, step_count(n)),
+                         dtype=np.uint64)
+    return box_muller(steps, n)
 
 
-def box_muller(u: np.ndarray, n: int) -> np.ndarray:
-    """``n`` N(0, 1) values from the ``uniform_count(n)`` float32 uniforms
-    ``u`` on [0, 1), overwritten in place; the result is a view of ``u``.
+def box_muller(steps: np.ndarray, n: int) -> np.ndarray:
+    """``n`` N(0, 1) values from each row of ``step_count(n)`` uint64
+    ``steps`` (the last axis, contiguous), overwritten in place; the
+    result is a float32 view of ``steps``, of shape (..., n).
 
-    Box & Muller (1958): the first half of ``u`` and the second, (u, t),
-    give the radius r = sqrt(-2 ln(1 - u)) and the angle 2 pi t; r cos and
-    r sin of the angle are independent N(0, 1).  The first half of the
-    result is the cosines, the second the sines, and an odd ``n`` drops the
-    last sine.  Radius and angle are float32, so the values have float32
-    precision; 1 - u is at least 2**-24, so no value exceeds
-    sqrt(2 ln 2**24) = 5.77 in magnitude, which a true Gaussian does with
-    probability 8e-9.
+    Each uint32 half h of a row gives f = 1 + (h >> 9) / 2**23 in [1, 2),
+    its float32 bits set directly.  The first half of the row and the
+    second give the radius r = sqrt(-2 ln(2 - f)) and the angle
+    2 pi (f - 1), both differences exact; r cos and r sin of the angle are
+    independent N(0, 1) (Box & Muller 1958).  The first half of a result
+    row is the cosines, the second the sines, and an odd ``n`` drops the
+    last sine.  Each step of the transform is one ufunc over all rows.
+    Radius and angle are float32, so the values have float32 precision;
+    2 - f is at least 2**-23, so no value exceeds sqrt(2 ln 2**23) = 5.65
+    in magnitude, which a true Gaussian does with probability 1.6e-8.
     """
-    half = len(u) // 2
-    radius, angle = u[:half], u[half:]
-    np.subtract(np.float32(1.0), radius, out=radius)
+    f = steps.view(np.uint32)
+    f >>= np.uint32(9)
+    f |= _FLOAT32_ONE
+    f = f.view(np.float32)
+    half = steps.shape[-1]
+    radius, angle = f[..., :half], f[..., half:]
+    np.subtract(np.float32(2.0), radius, out=radius)
     np.log(radius, out=radius)
     radius *= np.float32(-2.0)
     np.sqrt(radius, out=radius)
+    angle -= np.float32(1.0)
     angle *= np.float32(2 * np.pi)
     cos = np.cos(angle)
     np.sin(angle, out=angle)
     angle *= radius
     np.multiply(cos, radius, out=radius)
-    return u[:n]
+    return f[..., :n]
 
 
 def output_noise_std(

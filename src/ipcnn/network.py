@@ -371,29 +371,32 @@ def load_checkpoint(path) -> NetworkModel:
     CheckpointError (an OSError) for a file that cannot be read as one.
     """
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise CheckpointError(f"{path}: not an .npz archive")
-        with data:
-            meta = json.loads(bytes(_entry(data, "__meta__")).decode())
-            if not isinstance(meta, dict) or "metadata" not in meta:
-                raise CheckpointError(f"{path}: checkpoint metadata is not "
-                                      "a JSON object with 'metadata'")
-            if meta.get("arch_version") != ARCH_VERSION:
-                raise DimensionError(
-                    f"checkpoint arch version {meta.get('arch_version')} "
-                    f"!= {ARCH_VERSION}"
-                )
-            model = NetworkModel()
-            for i, p in enumerate(model.parameters()):
-                stored = _entry(data, f"param_{i}")
-                if stored.shape != p.shape:
+        # the with block closes the file also when np.load raises
+        with open(path, "rb") as handle:
+            data = np.load(handle)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise CheckpointError(f"{path}: not an .npz archive")
+            with data:
+                meta = json.loads(bytes(_entry(data, "__meta__")).decode())
+                if not isinstance(meta, dict) or "metadata" not in meta:
+                    raise CheckpointError(
+                        f"{path}: checkpoint metadata is not a JSON object "
+                        "with 'metadata'")
+                if meta.get("arch_version") != ARCH_VERSION:
                     raise DimensionError(
-                        f"checkpoint param_{i} shape {stored.shape} "
-                        f"!= {p.shape}"
+                        f"checkpoint arch version {meta.get('arch_version')} "
+                        f"!= {ARCH_VERSION}"
                     )
-                p[...] = stored
-            model.metadata = meta["metadata"]
+                model = NetworkModel()
+                for i, p in enumerate(model.parameters()):
+                    stored = _entry(data, f"param_{i}")
+                    if stored.shape != p.shape:
+                        raise DimensionError(
+                            f"checkpoint param_{i} shape {stored.shape} "
+                            f"!= {p.shape}"
+                        )
+                    p[...] = stored
+                model.metadata = meta["metadata"]
     except IpcnnError:
         raise
     # a pickle or a bad .npy header, JSON or UTF-8: ValueError; a cut file:

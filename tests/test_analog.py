@@ -12,6 +12,7 @@ from ipcnn.analog import (
     apply_calibration,
     calibrate,
     forward_batch,
+    output_noise_std,
     probe_path_responses,
     program_weights,
     sample_imbalance,
@@ -375,31 +376,32 @@ class TestGenerator:
 
 
 class CountingGenerator:
-    """A generator that records the size of every ``random`` call."""
+    """A generator that records the size of every ``integers`` call."""
 
     def __init__(self, seed):
         self._rng, self.sizes = np.random.default_rng(seed), []
 
-    def random(self, size=None, dtype=np.float64):
+    def integers(self, low, high=None, size=None, dtype=np.int64):
         self.sizes.append(size)
-        return self._rng.random(size, dtype=dtype)
+        return self._rng.integers(low, high, size=size, dtype=dtype)
 
 
-class FixedUniforms:
-    """Answers every ``random`` call with one float32 value."""
+class FixedBits:
+    """Answers every ``integers`` call with one uint64 bit pattern."""
 
     def __init__(self, value):
         self.value = value
 
-    def random(self, size=None, dtype=np.float64):
+    def integers(self, low, high=None, size=None, dtype=np.int64):
         return np.full(size, self.value, dtype=dtype)
 
 
 class TestStandardNormal:
     """The Box-Muller sampler behind every Gaussian value, at fixed seeds."""
 
-    # sqrt(2 ln 2**24): the radius when 1 - u is float32's 2**-24
-    BOUND = math.sqrt(2 * math.log(2 ** 24))
+    # sqrt(2 ln 2**23): the radius when 2 - f is the 23-bit uniform's
+    # least value, 2**-23
+    BOUND = math.sqrt(2 * math.log(2 ** 23))
 
     @pytest.fixture(scope="class")
     def draws(self):
@@ -431,14 +433,15 @@ class TestStandardNormal:
     def test_no_value_beyond_the_bound(self, draws):
         assert np.max(np.abs(draws)) <= self.BOUND
 
-    @pytest.mark.parametrize("u", [0.0, np.float32(1 - 2 ** -24)],
+    @pytest.mark.parametrize("bits", [0, 2 ** 64 - 1],
                              ids=["zero", "largest"])
-    def test_extreme_uniforms(self, u):
-        # u = 0 gives radius 0; float32's largest uniform gives the bound,
-        # at angle 2 pi (1 - 2**-24), so the cosine value is the bound
-        z = standard_normal(FixedUniforms(u), 4)
+    def test_extreme_uniforms(self, bits):
+        # all-zero bits give f = 1, so radius 0; all-one bits give
+        # 2 - f = 2**-23, so the bound, at angle 2 pi (1 - 2**-23), where
+        # the cosine value is the bound
+        z = standard_normal(FixedBits(np.uint64(bits)), 4)
         assert np.all(np.isfinite(z))
-        if u == 0:
+        if bits == 0:
             np.testing.assert_array_equal(z, 0.0)
         else:
             assert z[0] == pytest.approx(self.BOUND, rel=1e-6)
@@ -446,16 +449,16 @@ class TestStandardNormal:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 9, 10])
     def test_one_call_per_draw(self, n):
-        # an odd count takes one more uniform than it returns
+        # an odd count takes one more half step than it returns
         rng = CountingGenerator(3)
         z = standard_normal(rng, n)
-        assert z.shape == (n,) and rng.sizes == [n + n % 2]
+        assert z.shape == (n,) and rng.sizes == [((n + 1) // 2,)]
         np.testing.assert_array_equal(
             standard_normal(np.random.default_rng(3), n), z)
 
     def test_odd_count_per_image(self):
         # c_out = 1 and a 3x3 valid output: 9 values per image, the block
-        # one call of 10 uniforms per image, image by image in row order
+        # one call of 5 uint64 steps per image, image by image in row order
         spec = ConvLayerSpec(c_in=1, c_out=1, sigma=3, image_width=5)
         programming = program_weights(np.ones((1, 1, 3, 3)), spec)
         faults = AnalogFaultModel(neop_dbc=-10.0)
@@ -463,13 +466,31 @@ class TestStandardNormal:
         rng = CountingGenerator(5)
         noisy = forward_batch(x, programming, spec, faults, rng=rng)
         clean = forward_batch(x, programming, spec, IDEAL)
-        assert rng.sizes == [(3, 10)]
+        assert rng.sizes == [(3, 5)]
         std = programming.rescale * faults.noise_sigma(spec) * 3.0
         reference = np.random.default_rng(5)
         for image in range(3):
             draw = standard_normal(reference, 9).reshape(1, 3, 3)
             np.testing.assert_array_equal(
                 noisy[image], clean[image] + std * draw.astype(np.float64))
+
+    @pytest.mark.parametrize("dbc", [3070.0, -3070.0], ids=["cap", "tiny"])
+    def test_std_past_float32_scales_in_float64(self, dbc):
+        # a unit 1x1 kernel at +-3070 dBc: std = 10**+-307, past float32's
+        # range either way.  A zero input's noise is then the float64
+        # product std * z: finite near the cap, where float32 overflows,
+        # and nonzero at the tiny std, which float32 rounds to 0
+        spec = ConvLayerSpec(c_in=1, c_out=1, sigma=1, image_width=40)
+        programming = program_weights(np.ones((1, 1, 1, 1)), spec)
+        faults = AnalogFaultModel(neop_dbc=dbc)
+        std = output_noise_std(programming, spec, faults)
+        assert std == pytest.approx(10 ** (dbc / 10))
+        out = forward_batch(np.zeros((3, 1, 40, 40)), programming, spec,
+                            faults, rng=np.random.default_rng(8))
+        draw = standard_normal(np.random.default_rng(8), 3, 1600)
+        np.testing.assert_array_equal(
+            out.reshape(3, 1600), np.multiply(draw, std, dtype=np.float64))
+        assert np.all(np.isfinite(out)) and np.all(out != 0)
 
     def test_zero_image_block(self):
         spec = ConvLayerSpec(c_in=2, c_out=3, sigma=3, image_width=8)
@@ -483,7 +504,7 @@ class TestStandardNormal:
         faults = AnalogFaultModel(neop_dbc=-10.0)
         rng = CountingGenerator(6)
         measured = probe_path_responses(SPEC, faults, rng=rng, repeats=4)
-        assert rng.sizes == [SPEC.c_in * SPEC.q * SPEC.c_out]
+        assert rng.sizes == [((SPEC.c_in * SPEC.q * SPEC.c_out + 1) // 2,)]
         z = standard_normal(np.random.default_rng(6), measured.size)
         scale = faults.noise_sigma(SPEC) / np.sqrt(4 * SPEC.valid_width ** 2)
         np.testing.assert_array_equal(

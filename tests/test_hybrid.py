@@ -172,9 +172,9 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
     def test_noisy_logits_bytes_pinned(self):
-        # re-recorded when each conv's noise became one PCG64 stream per
-        # (seed, conv), image n at step n * P: both the noise values and the
-        # GEMM sums are in these bytes.  numpy picks its float32 log, sin
+        # re-recorded when each noise value came from a 23-bit uniform pair
+        # of the image's uint64 steps: both the noise values and the GEMM
+        # sums are in these bytes.  numpy picks its float32 log, sin
         # and cos loops by CPU feature, as OpenBLAS picks its kernels
         # (OpenBLAS 0.3.31, numpy 2.4, AVX-512 x86-64)
         model = NetworkModel(seed=4)
@@ -184,7 +184,7 @@ class TestDeterminism:
                                 np.random.default_rng(7))
         assert logits.dtype == np.float64 and logits.shape == (16, 10)
         assert hashlib.sha256(logits.tobytes()).hexdigest() == (
-            "f183cf2969557826ccef86379f04b68896e34e9abb42bc62c094863478fb1fc6"
+            "da0fe45745269aeaf3cdb3484de64787552b98d531179fd1bc0a9177e97d59ce"
         ), ("pinned on OpenBLAS 0.3.31, numpy 2.4, AVX-512 x86-64: on "
             "another BLAS or numpy build or CPU a mismatch may be the "
             "environment, not the code")
@@ -499,41 +499,63 @@ class TestNoiseAhead:
 
 class TestNoiseStream:
     """Conv k's noise is one PCG64 stream per (root, k), and image n owns
-    the P = ceil(C_O*V*V/2) uint64 steps from n*P on: its 2P float32
-    uniforms."""
+    the P = ceil(C_O*V*V/2) uint64 steps from n*P on."""
 
     CONV1 = ConvLayerSpec(c_in=1, c_out=32, sigma=3, image_width=30)
     # c_out = 1 and a 3x3 valid output: 9 values, so P = 5 and one of each
-    # image's 10 uniforms goes unused
+    # image's 10 half steps goes unused
     ODD = ConvLayerSpec(c_in=1, c_out=1, sigma=3, image_width=5)
+
+    @staticmethod
+    def zero_block(spec, n_images, rng):
+        """Noise of a zero-input block: its noisy output, and the std."""
+        programming = program_weights(
+            np.ones((spec.c_in, spec.c_out, spec.sigma, spec.sigma)), spec)
+        faults = AnalogFaultModel(neop_dbc=-10.0)
+        x = np.zeros((n_images, spec.c_in, spec.image_width,
+                      spec.image_width))
+        out = forward_batch(x, programming, spec, faults, rng=rng)
+        return out, output_noise_std(programming, spec, faults)
 
     @pytest.mark.parametrize("spec", [CONV1, ODD], ids=["conv1", "odd"])
     @pytest.mark.parametrize("image", [0, 1, 5, 37])
     def test_advanced_stream_is_a_slice_of_one_draw(self, spec, image):
-        # numpy fills float32 uniforms two per uint64 step, so the stream
-        # advanced by n * P draws what one long draw holds from 2nP on
-        per_image = (spec.c_out * spec.valid_width ** 2 + 1) // 2
+        # a 3-image block from the stream advanced by n * P is the
+        # Box-Muller of steps nP to (n + 3)P of one long draw, P per image
+        n = spec.c_out * spec.valid_width ** 2
+        per_image = (n + 1) // 2
         stream = np.random.PCG64(np.random.SeedSequence([3, 1]))
-        long = np.random.Generator(stream).random(
-            2 * (image + 1) * per_image, dtype=np.float32)
-        got = hybrid.noise_stream(3, 1, spec, image).random(
-            2 * per_image, dtype=np.float32)
-        np.testing.assert_array_equal(got, long[2 * image * per_image:])
+        long = np.random.Generator(stream).integers(
+            0, 2 ** 64, size=(image + 3) * per_image, dtype=np.uint64)
+        out, std = self.zero_block(spec, 3, hybrid.noise_stream(3, 1, spec,
+                                                                image))
+        for i in range(3):
+            first = (image + i) * per_image
+            draw = box_muller(long[first:first + per_image], n)
+            np.testing.assert_array_equal(
+                out[i], std * draw.astype(np.float64).reshape(out[i].shape))
+
+    @pytest.mark.parametrize("spec", [CONV1, ODD], ids=["conv1", "odd"])
+    @pytest.mark.parametrize("first, n_images", [(0, 1), (2, 4), (37, 32)])
+    def test_block_leaves_stream_at_next_block(self, spec, first, n_images):
+        # the block's one draw takes exactly its images' steps: the stream
+        # then sits where the next block's keyed stream starts
+        rng = hybrid.noise_stream(4, 0, spec, first)
+        self.zero_block(spec, n_images, rng)
+        assert rng.bit_generator.state == hybrid.noise_stream(
+            4, 0, spec, first + n_images).bit_generator.state
 
     def test_odd_count_keys_by_image(self):
         # zero input to a one-output-channel conv: image i of a block that
-        # starts at image 2 is the Box-Muller of uniforms 10 (2 + i) to
-        # 10 (3 + i) of the stream, the last of them unused
+        # starts at image 2 is the Box-Muller of steps 5 (2 + i) to
+        # 5 (3 + i) of the stream, the last half step of them unused
         spec = self.ODD
-        programming = program_weights(np.ones((1, 1, 3, 3)), spec)
-        faults = AnalogFaultModel(neop_dbc=-10.0)
-        out = forward_batch(np.zeros((4, 1, 5, 5)), programming, spec,
-                            faults, rng=hybrid.noise_stream(9, 0, spec, 2))
-        std = output_noise_std(programming, spec, faults)
-        u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            [9, 0]))).random(60, dtype=np.float32)
+        out, std = self.zero_block(spec, 4, hybrid.noise_stream(9, 0, spec,
+                                                                2))
+        steps = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            [9, 0]))).integers(0, 2 ** 64, size=30, dtype=np.uint64)
         for i in range(4):
-            draw = box_muller(u[10 * (2 + i):10 * (3 + i)], 9)
+            draw = box_muller(steps[5 * (2 + i):5 * (3 + i)], 9)
             np.testing.assert_array_equal(
                 out[i], std * draw.astype(np.float64).reshape(1, 3, 3))
 

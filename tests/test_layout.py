@@ -98,7 +98,9 @@ def nchw_forward_batch(images, programming, spec, faults, rng):
     out = cols @ (rescale * eff.reshape(spec.c_in * spec.q, spec.c_out))
     sigma_n = faults.noise_sigma(spec)
     if sigma_n > 0:
-        # image by image, one standard_normal draw in (C_O, V*V) order
+        # image by image, one standard_normal draw in (C_O, V*V) order:
+        # image b's values come from the P = ceil(C_O*V*V/2) uint64 steps
+        # after the first b*P, as in forward_batch's one block draw
         noise = np.stack([standard_normal(rng, out.size // b)
                           for _ in range(b)])
         out += (rescale * sigma_n * np.sqrt(spec.q)) * noise.reshape(
@@ -341,7 +343,8 @@ class TestAnalogForward:
                         noisy)
 
         # the noise: one standard_normal draw per image, in image order,
-        # laid out as the image's (C_O, V, V) output
+        # laid out as the image's (C_O, V, V) output; the block's one
+        # draw of (batch, P) uint64 steps takes the same steps in turn
         v = width - sigma + 1
         rng = np.random.default_rng(seed)
         draws = np.stack([standard_normal(rng, c_out * v * v)

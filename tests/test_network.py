@@ -1,5 +1,6 @@
 import ast
 import collections
+import gc
 import os
 import subprocess
 import sys
@@ -525,3 +526,15 @@ class TestCheckpoint:
         path, error = broken_checkpoint
         with pytest.raises(error, match="checkpoint"):
             load_checkpoint(path)
+
+    def test_broken_checkpoint_closes_its_file(self, broken_checkpoint):
+        # a failed load leaves no open file for the collector to find and
+        # report as a ResourceWarning
+        path, error = broken_checkpoint
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(error):
+                load_checkpoint(path)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []

@@ -63,8 +63,9 @@ def test_traced_calls_record_every_layer_span(monkeypatch):
 def test_traced_noise_draws_count_every_value(monkeypatch):
     # the traced run counts the values each call on forward_batch's
     # generator returns; a sampler that went round those calls would read
-    # zero here instead of one value per noisy output element:
-    # sum over the convs of V_k^2 * C_O, 28^2 * 32 + 14^2 * 32 = 31,360
+    # zero here instead of one uint64 step per two noisy output elements:
+    # half the sum over the convs of V_k^2 * C_O, 28^2 * 32 + 14^2 * 32 =
+    # 31,360
     tracing = load_tracing(monkeypatch)
     model = NetworkModel(seed=0)
     images = np.random.default_rng(0).random((5, 28, 28))
@@ -77,4 +78,4 @@ def test_traced_noise_draws_count_every_value(monkeypatch):
     with tracing.instrument(tracer, modules, [model]):
         hybrid.hybrid_forward(model, images, setups, np.random.default_rng(1),
                               batch_size=2)
-    assert tracer.counts["noise_draws"] == len(images) * per_image
+    assert tracer.counts["noise_draws"] == len(images) * per_image // 2
