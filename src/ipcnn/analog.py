@@ -7,14 +7,17 @@ balanced detection sums wavelengths into per-tap branch voltages, and a
 voltage adder sums the Q branches.  At every valid time step the delayed
 copies are exactly one im2col patch (the equivalence that
 ``conv_math.build_delayed_matrix`` and ``verify`` check), so the summed
-output is simulated directly as one GEMM of the im2col matrix against the
-effective weights ``rescale * gains * settings``.  The delayed tensor
-itself exists only in ``conv_math`` and ``verify``, as the oracle.
+output is simulated directly as the im2col matrix times the effective
+weights ``rescale * gains * settings``: the digital conv's own chunked
+GEMM (``layers.conv_gemm``), one GEMM per chunk of ``layers.CHUNK``
+images.  The delayed tensor itself exists only in ``conv_math`` and
+``verify``, as the oracle.
 
-Activations are channel-major, as in ``layers``: the GEMM multiplies the
-(C_O, C_I*Q) weights into the contiguous (C_I*Q, B*V*V) rows of the
-lowering, one row per (channel, tap), and its (C_O, B*V*V) product is
-returned as a (B, C_O, V, V) view with no transpose copy.
+Activations are channel-major, as in ``layers``: each GEMM multiplies the
+(C_O, C_I*Q) weights into the contiguous (C_I*Q, n*V*V) rows of a chunk's
+lowering, one row per (channel, tap), into the chunk's columns of one
+(C_O, B*V*V) product, returned as a (B, C_O, V, V) view with no transpose
+copy.
 
 Two fault mechanisms are injectable: additive Gaussian detection noise
 (a single lumped NEOP level in dBc relative to the all-ones full-scale
@@ -31,14 +34,15 @@ of each step give two 23-bit uniforms, the first half of them radii and
 the second angles.  The values have float32 precision, and their
 magnitude is at most sqrt(2 ln 2**23) = 5.65, where a true Gaussian goes
 past with probability 1.6e-8 per value.  ``standard_normal`` draws those
-steps in one ``rng.integers`` call, and ``forward_batch`` draws a whole
-block's in one call, one row of P = ceil(C_O*V*V/2) steps per image, so
-image b takes the P steps after the first b*P: the same values as P-step
-draws image by image.  So detection noise is keyed by stream position
-(``noise_stream``): conv k of a pass rooted at r draws from one PCG64
-stream seeded by (r, k), and image n owns its P steps from n*P on.  A
-block starting at image ``first`` gets the stream advanced by first*P,
-an O(log n) jump, and ``forward_batch`` draws the whole block from it.
+steps in one ``rng.integers`` call, and ``forward_batch`` draws each
+chunk's in one call after the chunk's GEMM, one row of P =
+ceil(C_O*V*V/2) steps per image, chunk after chunk, so image b takes the
+P steps after the first b*P: the same values as P-step draws image by
+image.  So detection noise is keyed by stream position (``noise_stream``):
+conv k of a pass rooted at r draws from one PCG64 stream seeded by (r, k),
+and image n owns its P steps from n*P on.  A block starting at image
+``first`` gets the stream advanced by first*P, an O(log n) jump, and
+``forward_batch`` draws the whole block from it.
 
 Simulator state is immutable; forward passes are pure given (input,
 generator), and a noisy call without a generator raises InvalidSpecError.
@@ -59,7 +63,7 @@ from .errors import (
     InvalidSpecError,
     check_count,
 )
-from .layers import im2col, rows_to_batch
+from .layers import CHUNK, conv_gemm, rows_to_batch
 
 # Guards division by zero for the all-zero kernel tensor; far below any
 # representable real kernel magnitude.
@@ -74,10 +78,6 @@ MAX_IMBALANCE_DB = 1000.0
 # The bits of float32 1.0: OR'd over 23 random mantissa bits, they give a
 # uniform float in [1, 2).
 _FLOAT32_ONE = np.uint32(0x3F800000)
-
-# Images whose noise one float64 buffer scales, reused for each group:
-# 4 of conv1's 25,088 values each fill 784 KiB, which stays in cache.
-_NOISE_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -162,12 +162,12 @@ def forward_batch(
     Computes rescale * (im2col(x) @ (gains * settings)) plus one Gaussian
     value of std ``output_noise_std`` per output element: the sum of the Q
     independent branch noises at each valid time step.  The noise of a
-    block is ``std * standard_normal(rng, B, C_O*V*V)``, one
-    ``rng.integers`` call for a (B, P) array of uint64 steps, P =
-    ceil(C_O*V*V/2), none for an empty block; image b's values come from
-    row b, laid out as its (C_O, V, V) output, so they have float32
-    precision and a tail cut at 5.65 std.  A noisy call without ``rng``
-    raises InvalidSpecError.
+    chunk of n images is ``std * standard_normal(rng, n, C_O*V*V)``, one
+    ``rng.integers`` call for an (n, P) array of uint64 steps, P =
+    ceil(C_O*V*V/2), drawn chunk after chunk, none for an empty block; an
+    image's values come from its row, laid out as its (C_O, V, V) output,
+    so they have float32 precision and a tail cut at 5.65 std.  A noisy
+    call without ``rng`` raises InvalidSpecError.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 4 or images.shape[1:] != (
@@ -187,25 +187,25 @@ def forward_batch(
     if std > 0 and rng is None:
         raise InvalidSpecError("a noisy analog call needs a generator (rng)")
 
-    cols, dims = im2col(images, spec.sigma)             # (B*V*V, C_I*Q)
     eff = faults.gains(spec) * programming.settings     # (C_I, Q, C_O)
     w_eff = programming.rescale * eff.reshape(spec.c_in * spec.q, spec.c_out)
-    out = w_eff.T @ cols.T                              # (C_O, B*V*V)
-    del cols  # the noise arrays below can take the lowering's memory
-    if std > 0 and len(images):
-        b, per_image = len(images), dims[1] * dims[2]
-        z = standard_normal(rng, b, spec.c_out * per_image)
-        z = z.reshape(b, spec.c_out, per_image).transpose(1, 0, 2)
-        rows = out.reshape(spec.c_out, b, per_image)
+    add_noise = None
+    if std > 0:
+        per_image = spec.c_out * spec.valid_width ** 2
         # scaled in float64, which holds any std below the 3080 dBc cap,
-        # a few images at a time into one buffer
-        scaled = np.empty((spec.c_out, _NOISE_CHUNK, per_image))
-        for start in range(0, b, _NOISE_CHUNK):
-            part = z[:, start:start + _NOISE_CHUNK]
-            buffer = scaled[:, :part.shape[1]]
-            np.multiply(part, std, out=buffer, dtype=np.float64)
-            rows[:, start:start + _NOISE_CHUNK] += buffer
-    return rows_to_batch(out, dims)
+        # into one chunk-sized buffer
+        scaled = np.empty((spec.c_out, min(len(images), CHUNK),
+                           spec.valid_width ** 2))
+
+        def add_noise(n, part):                         # (C_O, n*V*V)
+            z = standard_normal(rng, n, per_image).reshape(
+                n, spec.c_out, -1).transpose(1, 0, 2)
+            buffer = scaled[:, :n]
+            np.multiply(z, std, out=buffer, dtype=np.float64)
+            np.reshape(part, buffer.shape, copy=False)[...] += buffer
+
+    out, dims = conv_gemm(images, spec.sigma, w_eff.T, each=add_noise)
+    return rows_to_batch(out, dims)                     # (B, C_O, V, V)
 
 
 def step_count(n: int) -> int:

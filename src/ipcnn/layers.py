@@ -18,14 +18,20 @@ changes a value.  The tests hold every route to the NCHW one: bit for bit
 at the network's shapes and even batch sizes, and within rounding
 elsewhere, because a BLAS may round by operand layout.
 
-Conv forward and backward are GEMMs over ``im2col``; the input gradient
-lowers only the patches that land on the unpadded input, and the first
-layer skips it (``input_grad=False``).  Max pooling takes the maximum of
-each tile row, then of the two rows; training keeps one byte per tile
-that names its first maximum, and the backward pass is one scatter of
-the output gradient.  Tests hold each route bit-equal to the textbook one
-(tile ``argmax`` pooling, a (k-1)-padded full correlation cropped
-afterwards).
+Conv forward and backward are GEMMs over ``im2col``, one per chunk of
+``CHUNK`` images (``conv_gemm``, the one caller of ``im2col``): each
+chunk is lowered and multiplied into its columns of one output (its rows,
+for the input gradient) before the next, and no lowering of the whole
+batch is made, except the one training keeps for the weight gradient.
+The input gradient lowers only the patches that land on the unpadded
+input, and the first layer skips it (``input_grad=False``).  Max pooling
+takes the maximum of each tile row, then of the two rows; training keeps
+one byte per tile that names its first maximum, and the backward pass is
+one scatter of the output gradient.  Tests hold each route bit-equal to
+the textbook one (tile ``argmax`` pooling, a (k-1)-padded full
+correlation cropped afterwards).  The network runs each ReLU that feeds
+a pool after the pool (``network.NetworkModel.walk``); the layers do not
+depend on it.
 
 A training batch may run through the network in parts, each part on its
 own thread through the same layers.  A layer keeps the training state of
@@ -46,6 +52,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
+
+# Images per chunk of a conv: ``conv_gemm`` lowers and multiplies this many
+# at a time into one reused buffer, so no conv makes the lowering of a whole
+# block (3.6 MB per chunk at conv2, against 14.4 MB per 32 images).  A
+# BLAS rounds a GEMM's output column by its place in the kernel's blocks of
+# columns, so every chunk, and every part of a training step
+# (``network.NetworkModel.loss_and_backward``), starts on a multiple of this
+# many images, where those blocks start: with one OpenBLAS thread, a cut
+# after an odd number of images changed conv2's forward bits.  At conv2 a
+# multiple of 8 images is a multiple of 32 columns.
+CHUNK = 8
 
 
 class Layer:
@@ -121,6 +138,47 @@ def im2col(x: np.ndarray, kernel: int, out: np.ndarray | None = None):
     return out.T, (b, h, w)
 
 
+def conv_gemm(x: np.ndarray, kernel: int, weights: np.ndarray, *,
+              input_grad: bool = False, rows: np.ndarray | None = None,
+              each=None):
+    """``weights @ cols.T``, (C_O, B*H'*W'), for ``cols, dims = im2col(x,
+    kernel)``, or with ``input_grad`` ``cols @ weights``, (B*H'*W', C_I).
+
+    Returns ``(product, dims)``.  The batch is lowered and multiplied
+    ``CHUNK`` images at a time, each chunk's GEMM writing that chunk's
+    columns of the product (its rows, with ``input_grad``), so no lowering
+    of the whole batch is made.  A chunk starts on a multiple of ``CHUNK``
+    images, so each output rounds as in one GEMM over the batch.  The
+    chunks' lowerings go into one chunk-sized buffer, or, with ``rows``, a
+    (C*k*k, B*H'*W') array whose rows have unit stride, into their columns
+    of ``rows``, which then holds the whole lowering.  ``each(n,
+    part)``, if given, runs after each chunk's GEMM, with the chunk's image
+    count and its slice of the product.
+    """
+    b, c, height, width = x.shape
+    dims = (b, height - kernel + 1, width - kernel + 1)
+    hw = dims[1] * dims[2]
+    keep = rows is not None
+    if not keep:
+        rows = np.empty((c * kernel * kernel, min(b, CHUNK) * hw))
+    if input_grad:
+        out = np.empty((b * hw, weights.shape[1]))
+    else:
+        out = np.empty((weights.shape[0], b * hw))
+    for start in range(0, b, CHUNK):
+        stop = min(start + CHUNK, b)
+        own = slice(start * hw, stop * hw)
+        lowered = rows[:, own] if keep else rows[:, :(stop - start) * hw]
+        cols, _ = im2col(x[start:stop], kernel, out=lowered)
+        if input_grad:
+            part = np.matmul(cols, weights, out=out[own])
+        else:
+            part = np.matmul(weights, cols.T, out=out[:, own])
+        if each is not None:
+            each(stop - start, part)
+    return out, dims
+
+
 def rows_to_batch(rows: np.ndarray, dims) -> np.ndarray:
     """(B, C, H, W) view of a (C, B*H*W) product, ``dims`` = (B, H, W)."""
     return rows.reshape(rows.shape[0], *dims).transpose(1, 0, 2, 3)
@@ -155,18 +213,16 @@ class Conv2D(Layer):
                 f"conv input shape {x.shape} incompatible with c_in={self.c_in}"
             )
         x = pad_hw(x, self.pad)
+        k, rows = self.kernel, None
         if train:
             alone = batch is None
             batch = batch or GradBatch(len(x), self)
-            k = self.kernel
             b, c, height, width = x.shape
             hw = (height - k + 1) * (width - k + 1)
-            rows = batch.array("rows", (c * k * k, batch.n * hw))
-            cols, dims = im2col(x, k, out=rows[:, first * hw:(first + b) * hw])
+            rows = batch.array("rows", (c * k * k, batch.n * hw))[
+                :, first * hw:(first + b) * hw]
             self.state[first] = batch, alone
-        else:
-            cols, dims = im2col(x, self.kernel)
-        out = self.w.reshape(self.c_out, -1) @ cols.T
+        out, dims = conv_gemm(x, k, self.w.reshape(self.c_out, -1), rows=rows)
         out += self.b[:, None]
         return rows_to_batch(out, dims)
 
@@ -193,11 +249,11 @@ class Conv2D(Layer):
             grad = pad_hw(grad, e)
         elif e < 0:
             grad = grad[:, :, -e:e, -e:e]
-        gcols, (b, bh, bw) = im2col(grad, k)
         w_flip = self.w[:, :, ::-1, ::-1]
-        # matrix with rows indexed (o, i, j) to match gcols' column order
+        # matrix with rows indexed (o, i, j) to match the lowering's columns
         w_mat = w_flip.transpose(0, 2, 3, 1).reshape(-1, self.c_in)
-        return (gcols @ w_mat).reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
+        dx, (b, bh, bw) = conv_gemm(grad, k, w_mat, input_grad=True)
+        return dx.reshape(b, bh, bw, self.c_in).transpose(0, 3, 1, 2)
 
     def grad_operands(self, batch: GradBatch):
         """(a, b): the weight gradient is ``a @ b``."""
@@ -295,7 +351,18 @@ class MaxPool2(Layer):
     ``backward`` writes each output gradient there with one scatter into
     zeros laid out in memory like the input.  A tile that holds NaN has no
     maximum, and its gradient goes nowhere.
+
+    The scatter's index is each tile's corner offset plus the offset the
+    kept byte names.  The corner offsets depend only on the kept bytes'
+    shape and the input's memory order, so the layer keeps them, read-only,
+    under those two, in ``corners``.  Two parts of a batch on two threads
+    may make the same entry at once; both make equal arrays, and whichever
+    is stored last stays, so the race is harmless.
     """
+
+    def __init__(self):
+        super().__init__()
+        self.corners = {}
 
     def forward(self, x, train=False, *, first=0):
         if x.shape[2] % 2 or x.shape[3] % 2:
@@ -325,18 +392,23 @@ class MaxPool2(Layer):
             grad = np.where(nan_tiles, 0.0, grad)
         # zeros laid out like the input; the scatter walks its memory order,
         # outermost axis first
-        order = np.argsort(-np.asarray(strides), kind="stable")
+        order = tuple(np.argsort(-np.asarray(strides), kind="stable"))
         tile = np.array((1, 1, 2, 2))
         flat = np.zeros(4 * code.size)
         dx = flat.reshape(np.take(tile * code.shape, order)).transpose(
             np.argsort(order))
         steps = np.array(dx.strides) // dx.itemsize
+        corners = self.corners.get((code.shape, order))
+        if corners is None:
+            corners = np.zeros((), dtype=np.intp)
+            for axis in order:
+                corners = np.add.outer(corners, np.arange(code.shape[axis])
+                                       * tile[axis] * steps[axis])
+            corners.flags.writeable = False
+            self.corners[code.shape, order] = corners
         sh, sw = steps[2:]
-        index = np.zeros((), dtype=np.intp)
-        for axis in order:
-            index = np.add.outer(
-                index, np.arange(code.shape[axis]) * tile[axis] * steps[axis])
-        index += np.take((0, sw, sh, sh + sw), code.transpose(order))
+        index = np.take((0, sw, sh, sh + sw), code.transpose(order))
+        index += corners
         flat[index] = grad.transpose(order)
         return dx
 

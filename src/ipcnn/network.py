@@ -3,8 +3,11 @@
 Architecture: Conv3x3(1->32, pad 1) - ReLU - MaxPool2 - Conv3x3(32->32,
 pad 1) - ReLU - MaxPool2 - Flatten - FC(1568->512) - ReLU - FC(512->10).
 ReLU keeps activations non-negative, which the intensity-encoded photonic
-execution of the conv layers requires.  Training is plain minibatch SGD
-with momentum, fully digital and deterministic given the seed.
+execution of the conv layers requires.  Every pass, training or inference,
+walks the layers in one order (``NetworkModel.walk``): each ReLU that feeds
+a MaxPool2 runs after it, on the pooled quarter of the values, which gives
+the values of the listed order.  Training is plain minibatch SGD with
+momentum, fully digital and deterministic given the seed.
 
 A training step runs every layer on two parts of the batch, one on a
 helper thread, and computes the weight gradients on two threads, each
@@ -32,25 +35,17 @@ import numpy as np
 
 from .errors import (CheckpointError, DimensionError, InvalidSpecError,
                      IpcnnError, TrainingError, check_count)
-from .layers import (Conv2D, Dense, Flatten, GradBatch, Layer, MaxPool2,
-                     ReLU, cross_entropy_loss)
+from .layers import (CHUNK, Conv2D, Dense, Flatten, GradBatch, Layer,
+                     MaxPool2, ReLU, cross_entropy_loss)
 from .mnist import IMAGE_WIDTH, N_CLASSES
 
 ARCH_VERSION = 1
 
 # Images per block of an inference pass, digital or hybrid.  A block's
-# largest arrays (conv2's 14 MB lowering, conv1's 6.4 MB output) stay under
-# glibc's 32 MiB mmap ceiling, so they are reused from the heap instead of
-# being mapped and faulted in afresh for every batch.
+# largest array, conv1's 6.4 MB output, stays under glibc's 32 MiB mmap
+# ceiling, so it is reused from the heap instead of being mapped and
+# faulted in afresh for every batch.
 INFER_BLOCK = 32
-
-# A training step splits its batch at a multiple of this many images.  A
-# BLAS rounds a GEMM's output column by its place in the kernel's blocks of
-# columns, so a part must start on a block boundary for its conv GEMMs to
-# round like the whole batch's: with one OpenBLAS thread, a cut after an
-# odd number of images changed conv2's forward bits.  At conv2 a multiple
-# of 8 images is a multiple of 32 columns.
-SPLIT_ALIGN = 8
 
 
 def check_labels(labels, n_images: int, n_classes: int) -> np.ndarray:
@@ -165,8 +160,25 @@ class NetworkModel:
     def gradients(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads]
 
+    @property
+    def walk(self) -> list[Layer]:
+        """``layers`` in the order every pass runs them, forward (and
+        backward in reverse): each ReLU that feeds a MaxPool2 runs after
+        it, on the pooled quarter of the values.  Max and ReLU are both
+        monotone, so they commute: every value, forward and backward, is
+        that of the listed order, and where a tile's maximum is positive
+        its gradient goes to the same element.  Only the sign of a zero
+        may differ, as where a tile holds no positive value and its zero
+        gradient goes to its first maximum instead of its first element."""
+        walk = list(self.layers)
+        for i in range(len(walk) - 1):
+            if isinstance(walk[i], ReLU) and isinstance(walk[i + 1],
+                                                        MaxPool2):
+                walk[i], walk[i + 1] = walk[i + 1], walk[i]
+        return walk
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        for layer in self.layers:
+        for layer in self.walk:
             x = layer.forward(x, train=train)
         return x
 
@@ -176,9 +188,9 @@ class NetworkModel:
         """Mean loss of a training batch; fills every parameter gradient.
 
         The batch runs through the network in two parts, cut at the
-        multiple of ``SPLIT_ALIGN`` images nearest to n/2: the first part
+        multiple of ``layers.CHUNK`` images nearest to n/2: the first part
         on the calling thread, the rest on one helper thread, both through
-        ``self.layers``, each layer keeping each part's state under the
+        ``self.walk``, each layer keeping each part's state under the
         part's first image (``Layer.state``).  The parts join for the loss,
         one call over the whole batch's logits, and run backward apart
         again.  Each conv or dense layer's parts write into one
@@ -200,25 +212,26 @@ class NetworkModel:
         every layer's ``state`` before it does.
         """
         n = len(x)
-        cut = SPLIT_ALIGN * ((n + SPLIT_ALIGN) // (2 * SPLIT_ALIGN))
+        cut = CHUNK * ((n + CHUNK) // (2 * CHUNK))
         parts = ([slice(0, cut), slice(cut, n)] if 0 < cut < n - 1
                  else [slice(0, n)])
+        walk = self.walk
         batches = [GradBatch(n, layer, arrays) if layer.params else None
-                   for layer in self.layers]
+                   for layer in walk]
 
         def forward(part):
             y = x[part]
-            for layer, batch in zip(self.layers, batches):
+            for layer, batch in zip(walk, batches):
                 extra = {} if batch is None else {"batch": batch}
                 y = layer.forward(y, train=True, first=part.start, **extra)
             return y
 
         def backward(part):
             g = grad[part]
-            for layer in reversed(self.layers[1:]):
+            for layer in reversed(walk[1:]):
                 g = layer.backward(g, first=part.start)
             # nothing reads the gradient with respect to the input images
-            self.layers[0].backward(g, input_grad=False, first=part.start)
+            walk[0].backward(g, input_grad=False, first=part.start)
 
         try:
             logits = map_on_threads(forward, parts, 2, "ipcnn-train", helper)
@@ -256,11 +269,13 @@ class NetworkModel:
         check_count("batch size", batch_size)
         out = np.empty((len(x), self.n_classes))
 
+        walk = self.walk
+
         def run(start):
             end = min(start + batch_size, len(x))
             for first in range(start, end, INFER_BLOCK):
                 y, k = x[first:min(first + INFER_BLOCK, end)], 0
-                for layer in self.layers:
+                for layer in walk:
                     if conv is not None and isinstance(layer, Conv2D):
                         y, k = conv(k, y, first), k + 1
                     else:

@@ -10,8 +10,14 @@ fault-injection experiments need.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mnist import IMAGE_WIDTH, N_CLASSES, Dataset
+
+# Images whose pixel noise one draw makes: the draws of a stream follow one
+# another, so the values are those of one draw for every image, without a
+# temporary the size of the set.
+_NOISE_CHUNK = 256
 
 
 def _templates(rng: np.random.Generator) -> np.ndarray:
@@ -36,15 +42,15 @@ def _shifted(templates: np.ndarray, labels: np.ndarray,
              shifts: np.ndarray) -> np.ndarray:
     """templates[labels[i]] cyclically shifted by shifts[i] = (dy, dx).
 
-    One gather on modular indices, out[i, r, c] =
-    template[(r - dy) mod L, (c - dx) mod L]: what np.roll gives.  A
-    function of its own so the index arrays are freed before the caller's
-    noise draw, which keeps the dataset's peak memory at the loop's.
+    out[i, r, c] = template[(r - dy) mod L, (c - dx) mod L], what np.roll
+    gives: the L x L window at ((-dy) mod L, (-dx) mod L) of the template
+    tiled 2 x 2, read with one gather from a window view of the tiles.
     """
-    pixels = np.arange(IMAGE_WIDTH)
-    rows = (pixels - shifts[:, :1]) % IMAGE_WIDTH
-    cols = (pixels - shifts[:, 1:]) % IMAGE_WIDTH
-    return templates[labels[:, None, None], rows[:, :, None], cols[:, None, :]]
+    tiled = np.tile(templates, (1, 2, 2))
+    windows = sliding_window_view(tiled, (IMAGE_WIDTH, IMAGE_WIDTH),
+                                  axis=(1, 2))
+    corners = -shifts % IMAGE_WIDTH
+    return windows[labels, corners[:, 0], corners[:, 1]]
 
 
 def make_synthetic_dataset(
@@ -61,8 +67,10 @@ def make_synthetic_dataset(
         labels = rng.integers(0, N_CLASSES, size=n)
         shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
         images = _shifted(templates, labels, shifts)
-        images += rng.normal(0.0, noise, size=images.shape)
-        return np.clip(images, 0.0, 1.0), labels
+        for start in range(0, n, _NOISE_CHUNK):
+            part = images[start:start + _NOISE_CHUNK]
+            part += rng.normal(0.0, noise, size=part.shape)
+        return np.clip(images, 0.0, 1.0, out=images), labels
 
     train_x, train_y = sample(n_train)
     test_x, test_y = sample(n_test)

@@ -1,3 +1,8 @@
+import ast
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,8 @@ from ipcnn.layers import (
     softmax,
 )
 from ipcnn.network import Hyperparams, NetworkModel, train
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ipcnn"
 
 
 def reference_pool_forward(x):
@@ -231,6 +238,50 @@ class TestExactRoutes:
                                               [0.0, 0.0, 0.0, 0.0]]]])
         assert not np.signbit(dx[0, 0, :, :2]).any()
 
+    def test_pool_parts_share_corners_across_threads(self):
+        # six parts of one batch through one pool, each on its own thread,
+        # all filling or reading the same corner entry at once
+        rng = np.random.default_rng(14)
+        x = tied_pool_input(np.random.default_rng(15)).repeat(16, axis=0)
+        grad = rng.standard_normal((len(x), 4, 4, 3))
+        parts = [slice(start, start + 8) for start in range(0, len(x), 8)]
+        pool, dx = MaxPool2(), [None] * len(parts)
+
+        def run(i):
+            part = parts[i]
+            pool.forward(x[part], train=True, first=part.start)
+            dx[i] = pool.backward(grad[part], first=part.start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(parts))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        _, argmax = reference_pool_forward(x)
+        np.testing.assert_array_equal(
+            np.concatenate(dx), reference_pool_backward(grad, argmax, x.shape))
+        assert len(pool.corners) == 1 and pool.state == {}
+
+    def test_pool_corners_keyed_by_memory_order(self):
+        # one layer, one shape, the input in C order and then channel-major
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 4, 8, 6))
+        grad = rng.standard_normal((3, 4, 4, 3))
+        _, argmax = reference_pool_forward(x)
+        expected = reference_pool_backward(grad, argmax, x.shape)
+        pool = MaxPool2()
+        for layout in (x, x.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)):
+            pool.forward(layout, train=True)
+            np.testing.assert_array_equal(pool.backward(grad), expected)
+        assert len(pool.corners) == 2
+
     @pytest.mark.parametrize("pad", [0, 1, 2, 3])
     def test_conv_dx_matches_cropped_full_correlation(self, pad):
         rng = np.random.default_rng(13 + pad)
@@ -310,3 +361,18 @@ class TestTraining:
             "e1d99b4346dce11bb630747cb671f57e64ffe59078ad952650ac5a4e56de59ff"
         ), ("pinned on OpenBLAS 0.3.31, AVX-512 x86-64: on another BLAS "
             "build or CPU a mismatch may be the environment, not the code")
+
+
+def test_one_lowering_site():
+    # every conv lowering, digital or analog, forward or input gradient,
+    # goes through the chunked GEMM, which makes no whole-batch lowering
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "im2col" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    sites.add((path.stem, getattr(top, "name", None)))
+    assert sites == {("layers", "conv_gemm")}

@@ -1,6 +1,8 @@
 import ast
 import collections
 import gc
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from ipcnn.errors import DimensionError, InvalidSpecError, TrainingError
+from ipcnn.hybrid import build_photonic_setups, hybrid_forward
 from ipcnn.layers import Conv2D, cross_entropy_loss, im2col, pad_hw
 from ipcnn.network import (
     ARCH_VERSION,
@@ -82,6 +85,60 @@ def train_data(n=100, seed=5):
     return rng.random((n, 1, 28, 28)), rng.integers(0, 10, size=n)
 
 
+def run_on_blas_threads(code: str, threads: int) -> str:
+    """The standard output of ``python -c code`` run with this directory
+    importable and ``threads`` BLAS threads; fails on a non-zero exit."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(tests), "src"), tests]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           **{var: str(threads) for var in ("OPENBLAS_NUM_THREADS",
+                                            "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS")}}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# sha256 of logits computed where no noise is drawn, one set per BLAS thread
+# count: conv2 on an odd number of images rounds by the thread count.
+NO_NOISE_PINS = {
+    1: {"logits_7": "02bb2b8895c37baeb63f1a009396adef"
+                    "0fa474d815744e386ffa0e814fc60c04",
+        "logits_32": "f7fa4d1d4cdd2d6db77e62633b040ee2"
+                     "4571f42dfbaef00d90db7f06b526dc2c",
+        "hybrid": "67d34b6b363149181923dd74ae645c8e"
+                  "abaf65cd1c80c5b5aedea3b107171271"},
+    2: {"logits_7": "0753c2fbf2058de9902509348be6a430"
+                    "c1842779f50137a5532af3604b426b94",
+        "logits_32": "504f64577c24d5db0d86d93f55521c5b"
+                     "70305d7de2c614c296dcab3ca229f9e3",
+        "hybrid": "b91485105cb939582baea29625412f35"
+                  "0dd1918703dd125efeb72078d7f455c4"},
+}
+
+
+def no_noise_digests() -> dict:
+    """sha256 of the logits of 37 random images: digital
+    (``NetworkModel.logits``) at batch sizes 7 and 32, and hybrid
+    (``hybrid_forward``) with calibration at 6 dB of imbalance, noise off.
+    The model's biases are random, so no bias is zero."""
+    model = NetworkModel(seed=8)
+    rng = np.random.default_rng(9)
+    for layer in model.layers:
+        if layer.params:
+            layer.b[...] = rng.normal(0.0, 0.1, size=layer.b.shape)
+    images = np.random.default_rng(10).random((37, 28, 28))
+    logits = {f"logits_{n}": model.logits(images[:, None], batch_size=n)
+              for n in (7, 32)}
+    setups = build_photonic_setups(model, imbalance_db=6.0,
+                                   calibration=True, seed=11)
+    logits["hybrid"] = hybrid_forward(model, images, setups,
+                                      np.random.default_rng(12))
+    return {name: hashlib.sha256(out.tobytes()).hexdigest()
+            for name, out in logits.items()}
+
+
 def started_threads(monkeypatch):
     """A list that records every Thread started from now on."""
     started = []
@@ -143,7 +200,7 @@ class TestTrainingStep:
         # every layer, the first included, computes its input gradient
         logits = model.forward(x, train=True)
         full_loss, grad = cross_entropy_loss(logits, y)
-        for layer in reversed(model.layers):
+        for layer in reversed(model.walk):
             grad = layer.backward(grad)
         assert grad.shape == x.shape
         assert loss == full_loss
@@ -204,17 +261,9 @@ class TestTrainingStep:
     def test_step_matches_serial_step_on_one_blas_thread(self):
         # one BLAS thread, as perfbench runs: a cut after an odd number of
         # images changed conv2's forward bits there, and not on two threads
-        tests = os.path.dirname(os.path.abspath(__file__))
-        path = [os.path.join(os.path.dirname(tests), "src"), tests]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
-               **{var: "1" for var in ("OPENBLAS_NUM_THREADS",
-                                       "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
         code = ("import test_network; "
                 f"print(test_network.step_mismatches({STEP_BATCH_SIZES}))")
-        run = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=600)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert run_on_blas_threads(code, 1).strip() == "[]"
 
     def test_small_batch_starts_no_thread(self, monkeypatch):
         x, y = train_data(10)
@@ -331,13 +380,13 @@ class TestTrainingStep:
         logits = model.forward(x[:5], train=True)
         assert [list(layer.state) for layer in model.layers] == [[0]] * 10
         _, grad = cross_entropy_loss(logits, y[:5])
-        for layer in reversed(model.layers):
+        for layer in reversed(model.walk):
             grad = layer.backward(grad)
         assert [layer.state for layer in model.layers] == [{}] * 10
 
     def test_layers_keep_no_state_after_a_raise(self):
         # relu2 fails on the helper's part (images 8-15) after the caller's
-        # part has passed every layer: without the clean-up conv1 - conv2
+        # part has passed every layer: without the clean-up conv1 - pool2
         # kept entries [0, 8] and the later layers [0]
         x, y = train_data(16)
         model = NetworkModel(seed=0)
@@ -351,6 +400,93 @@ class TestTrainingStep:
         with pytest.raises(RuntimeError, match="cut"):
             model.loss_and_backward(x, y)
         assert [layer.state for layer in model.layers] == [{}] * 10
+
+
+def awkward_images():
+    """Images and a model whose ReLU and pool inputs hold ties, NaN, -0.0
+    and all-negative tiles: image 0 is all 0.0, image 1 all -0.0, image 2
+    constant, image 3 integer-valued, the others random with zero and
+    -0.0 patches, and image 5 holds one NaN.  Five conv1 and five conv2
+    channels have a bias of -0.5 and one of each -0.0."""
+    rng = np.random.default_rng(31)
+    x = rng.random((12, 1, 28, 28))
+    x[0], x[1], x[2] = 0.0, -0.0, 0.5
+    x[3] = rng.integers(0, 2, size=(1, 28, 28))
+    x[6:, :, 4:12, 4:12] = 0.0
+    x[7:, :, 16:, 16:] = -0.0
+    x[5, 0, 9, 20] = np.nan
+    model = NetworkModel(seed=3)
+    for conv in model.conv_layers:
+        conv.b[...] = rng.normal(0.0, 0.1, size=conv.b.shape)
+        conv.b[:5], conv.b[5] = -0.5, -0.0
+    return model, x
+
+
+class TestWalk:
+    """Every pass runs each ReLU that feeds a pool after the pool."""
+
+    def test_walk_order(self):
+        model = NetworkModel(seed=0)
+        walk = model.walk
+        assert [type(layer).__name__ for layer in walk] == [
+            "Conv2D", "MaxPool2", "ReLU", "Conv2D", "MaxPool2", "ReLU",
+            "Flatten", "Dense", "ReLU", "Dense"]
+        assert sorted(map(id, walk)) == sorted(map(id, model.layers))
+        assert [type(layer).__name__ for layer in model.layers][:3] == [
+            "Conv2D", "ReLU", "MaxPool2"]
+
+    def test_forward_matches_list_order(self):
+        # every input outside a ReLU-pool pair as values (NaN equal to
+        # NaN; a pooled -0.0 may come out +0.0), the logits as bytes
+        model, x = awkward_images()
+        seen = {}
+        for layer in model.layers:
+            def record(y, *args, _layer=layer, _forward=layer.forward,
+                       **kwargs):
+                seen[_layer] = y
+                return _forward(y, *args, **kwargs)
+            layer.forward = record
+        with np.errstate(invalid="ignore"):
+            logits = model.forward(x)
+            y, ref = x, {}
+            for layer in model.layers:
+                ref[layer] = y
+                y = type(layer).forward(layer, y)
+        paired = {layer for pair in zip(model.layers, model.walk)
+                  for layer in pair if pair[0] is not pair[1]}
+        assert len(paired) == 4
+        for layer in model.layers:
+            if layer not in paired:
+                assert np.array_equal(seen[layer], ref[layer],
+                                      equal_nan=True)
+        assert np.isnan(logits[5]).all() and np.isfinite(logits[:5]).all()
+        assert logits.tobytes() == y.tobytes()
+
+    def test_step_matches_list_order(self):
+        # the same images without the NaN one through a training step:
+        # serial_step walks the listed order
+        model, x = awkward_images()
+        ref, _ = awkward_images()
+        x = np.delete(x, 5, axis=0)
+        labels = np.arange(len(x)) % 10
+        assert model.loss_and_backward(x, labels) == serial_step(
+            ref, x, labels)
+        for g, r in zip(model.gradients(), ref.gradients(), strict=True):
+            assert np.array_equal(g, r)
+
+
+class TestExactWhereNoNoise:
+    @pytest.mark.parametrize("threads", sorted(NO_NOISE_PINS))
+    def test_logits_bytes_pinned(self, threads):
+        # each thread count in a process of its own, whatever the suite's
+        # own BLAS setting
+        code = ("import json, test_network; "
+                "print(json.dumps(test_network.no_noise_digests()))")
+        digests = json.loads(run_on_blas_threads(code, threads))
+        assert digests == NO_NOISE_PINS[threads], (
+            "pinned on OpenBLAS 0.3.31, numpy 2.4, AVX-512 x86-64: on "
+            "another BLAS or numpy build or CPU a mismatch may be the "
+            "environment, not the code")
 
 
 class TestMapOnThreads:
