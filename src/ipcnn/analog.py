@@ -141,7 +141,7 @@ def program_weights(kernels, spec: ConvLayerSpec) -> WeightProgramming:
     w = kernels_to_weight_matrix(kernels, spec)  # (C_O, C_I*Q)
     if not np.all(np.isfinite(w)):
         raise InvalidSpecError("kernel values must be finite")
-    r = max(float(np.max(np.abs(w))), _ZERO_KERNEL_EPS)
+    r = float(np.max(np.abs(w)))
     if r <= _ZERO_KERNEL_EPS:
         return WeightProgramming(
             settings=np.zeros((spec.c_in, spec.q, spec.c_out)), rescale=1.0
@@ -367,9 +367,8 @@ def apply_calibration(
             "cannot compensate a non-positive gain estimate"
         )
     compensated = programming.settings / table.estimated_gains
-    peak = float(np.max(np.abs(compensated)))
-    if peak > 1.0:
-        return WeightProgramming(
-            settings=compensated / peak, rescale=programming.rescale * peak
-        )
-    return WeightProgramming(settings=compensated, rescale=programming.rescale)
+    # dividing and multiplying by 1.0 are exact; a NaN peak counts as 1.0
+    peak = max(1.0, float(np.max(np.abs(compensated))))
+    return WeightProgramming(
+        settings=compensated / peak, rescale=programming.rescale * peak
+    )

@@ -119,10 +119,9 @@ def hybrid_forward(
     a noiseless conv gets no generator.  So an image's logits do not
     depend on ``batch_size`` (beyond the rounding of GEMMs of another
     size), on the images after it, or on the thread that ran its batch.
-    A noisy call runs the odd-numbered batches on one helper thread, joined
-    before it returns or raises; a noiseless or one-batch call starts none.
-    No helper inside a sweep job: a job of a sweep on two or more threads
-    runs its batches in turn on its share's thread (``map_on_threads``).
+    Noisy or not, its threads are those of ``NetworkModel.logits``: one
+    helper runs every other batch of a call of two or more batches, unless
+    the call is a job of a sweep on two or more threads.
     """
     if images.shape[1:] != (IMAGE_WIDTH, IMAGE_WIDTH):
         raise DimensionError(f"images of shape {images.shape} != "
@@ -143,8 +142,7 @@ def hybrid_forward(
         y += s.bias[None, :, None, None]
         return y
 
-    return model.logits(images[:, None, :, :], batch_size, conv,
-                        "ipcnn-hybrid" if any(noisy) else None)
+    return model.logits(images[:, None, :, :], batch_size, conv)
 
 
 def infer_hybrid(

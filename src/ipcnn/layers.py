@@ -22,7 +22,7 @@ Conv forward and backward are GEMMs over ``im2col``, one per chunk of
 ``CHUNK`` images (``conv_gemm``, the one caller of ``im2col``): each
 chunk is lowered and multiplied into its columns of one output (its rows,
 for the input gradient) before the next, and no lowering of the whole
-batch is made, except the one training keeps for the weight gradient.
+batch is made but the one training keeps, and multiplies in one GEMM.
 The input gradient lowers only the patches that land on the unpadded
 input, and the first layer skips it (``input_grad=False``).  Max pooling
 takes the maximum of each tile row, then of the two rows; training keeps
@@ -149,26 +149,27 @@ def conv_gemm(x: np.ndarray, kernel: int, weights: np.ndarray, *,
     columns of the product (its rows, with ``input_grad``), so no lowering
     of the whole batch is made.  A chunk starts on a multiple of ``CHUNK``
     images, so each output rounds as in one GEMM over the batch.  The
-    chunks' lowerings go into one chunk-sized buffer, or, with ``rows``, a
-    (C*k*k, B*H'*W') array whose rows have unit stride, into their columns
-    of ``rows``, which then holds the whole lowering.  ``each(n,
-    part)``, if given, runs after each chunk's GEMM, with the chunk's image
-    count and its slice of the product.
+    chunks' lowerings go into one chunk-sized buffer.  With ``rows``, a
+    (C*k*k, B*H'*W') array whose rows have unit stride that is to hold the
+    whole lowering, the batch is lowered into it and multiplied as one
+    chunk.  ``each(n, part)``, if given, runs after each chunk's GEMM,
+    with the chunk's image count and its slice of the product.
     """
     b, c, height, width = x.shape
     dims = (b, height - kernel + 1, width - kernel + 1)
     hw = dims[1] * dims[2]
-    keep = rows is not None
-    if not keep:
+    # max(): an empty batch's step stays above 0
+    step = CHUNK if rows is None else max(b, 1)
+    if rows is None:
         rows = np.empty((c * kernel * kernel, min(b, CHUNK) * hw))
     if input_grad:
         out = np.empty((b * hw, weights.shape[1]))
     else:
         out = np.empty((weights.shape[0], b * hw))
-    for start in range(0, b, CHUNK):
-        stop = min(start + CHUNK, b)
+    for start in range(0, b, step):
+        stop = min(start + step, b)
         own = slice(start * hw, stop * hw)
-        lowered = rows[:, own] if keep else rows[:, :(stop - start) * hw]
+        lowered = rows[:, :(stop - start) * hw]
         cols, _ = im2col(x[start:stop], kernel, out=lowered)
         if input_grad:
             part = np.matmul(cols, weights, out=out[own])

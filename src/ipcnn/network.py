@@ -72,7 +72,7 @@ def check_labels(labels, n_images: int, n_classes: int) -> np.ndarray:
 _IN_SHARE = contextvars.ContextVar("ipcnn_in_share", default=False)
 
 
-def map_on_threads(fn, items, threads: int, name: str | None,
+def map_on_threads(fn, items, threads: int, name: str,
                    pool: ThreadPoolExecutor | None = None) -> list:
     """``[fn(item) for item in items]``, on up to ``threads`` threads.
 
@@ -81,12 +81,12 @@ def map_on_threads(fn, items, threads: int, name: str | None,
     named ``name`` started for this call.  Each share runs in a copy of the
     caller's context, so the caller's ``np.errstate`` holds in all of
     them, and every share is done before this returns or raises.  One
-    share, no ``name``, or a call nested in a share of another runs every
-    item inline and starts no thread.
+    share, or a call nested in a share of another, runs every item inline
+    and starts no thread.
     """
     items = list(items)
     n = min(threads, len(items))
-    if n < 2 or name is None or _IN_SHARE.get():
+    if n < 2 or _IN_SHARE.get():
         return [fn(item) for item in items]
     results = [None] * len(items)
 
@@ -255,16 +255,17 @@ class NetworkModel:
         return loss
 
     def logits(self, x: np.ndarray, batch_size: int = INFER_BLOCK,
-               conv=None, thread: str | None = "ipcnn-predict") -> np.ndarray:
+               conv=None) -> np.ndarray:
         """Logits of a batch of (N, C, H, W) images, (0, n_classes) if empty.
 
-        The one inference walk: batches of ``batch_size`` images alternate
-        between the calling thread and a helper named ``thread`` (none if
-        ``thread`` is None, see ``map_on_threads``), and each batch
-        runs through every layer in blocks of at most ``INFER_BLOCK``
-        images.  ``conv``, if given, stands in for the conv layers: a
-        block's k-th conv is ``conv(k, block, first)``, where ``first`` is
-        the index in ``x`` of the block's first image.
+        The one inference walk, digital or hybrid: batches of
+        ``batch_size`` images alternate between the calling thread and one
+        helper, none for one batch or in a share of ``map_on_threads``
+        (a job of a sweep on two or more threads), and each batch runs
+        through every layer in blocks of at most ``INFER_BLOCK`` images.
+        ``conv``, if given, stands in for the conv layers: a block's k-th
+        conv is ``conv(k, block, first)``, where ``first`` is the index in
+        ``x`` of the block's first image.
         """
         check_count("batch size", batch_size)
         out = np.empty((len(x), self.n_classes))
@@ -282,7 +283,7 @@ class NetworkModel:
                         y = layer.forward(y)
                 out[first:first + len(y)] = y
 
-        map_on_threads(run, range(0, len(x), batch_size), 2, thread)
+        map_on_threads(run, range(0, len(x), batch_size), 2, "ipcnn-infer")
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -266,12 +266,16 @@ class TestSweeps:
 
     def test_noisy_sweep_starts_one_thread(self, model, samples,
                                            monkeypatch):
-        # the jobs' noisy walks run inline in their shares: ten jobs used
-        # to start a pool of two and a walk helper each
+        # the jobs' walks, noisy or not, run inline in their shares: ten
+        # jobs used to start a pool of two and a walk helper each
         started = started_threads(monkeypatch)
         images, labels = samples
         sweep_noise(model, images, labels, [-10.0, -20.0], list(range(5)),
                     batch_size=4, threads=2)
+        assert len(started) == 1 and started[0].startswith("ipcnn-sweep")
+        started.clear()
+        sweep_imbalance(model, images, labels, [6.0], trials=4,
+                        calibration=True, batch_size=4, threads=2)
         assert len(started) == 1 and started[0].startswith("ipcnn-sweep")
 
     def test_imbalance_sweep_stats(self, model, samples):
@@ -307,8 +311,9 @@ def _conv2_only_noisy(model):
 class TestNoiseAhead:
     """Noise is a function of (seed, conv, image): ``hybrid_forward`` matches
     a whole-batch reference route, whatever its batch size, subset or
-    thread timing, and its helper thread is joined and used only when
-    there is noise to draw and more than one batch."""
+    thread timing.  A call of more than one batch, noisy or not, runs on
+    one helper thread besides its own, joined before it returns or
+    raises; a one-batch call starts none."""
 
     @pytest.mark.parametrize("n_images, batch_size, make_setups", [
         (37, 16, lambda m: build_photonic_setups(m, neop_dbc=-10.0, seed=1)),
@@ -332,11 +337,15 @@ class TestNoiseAhead:
                                                   seed=10)),
         (161, 128, lambda m: build_photonic_setups(m, neop_dbc=-10.0,
                                                    seed=11)),
+        # no noise: the batches run on the helper all the same
+        (75, 16, lambda m: build_photonic_setups(
+            m, imbalance_db=6.0, calibration=True, seed=12)),
     ], ids=["uneven-last-batch", "one-image", "imbalance-calibrated",
             "no-images", "conv2-only-noisy", "blocks-two-batches",
             "blocks-one-batch", "blocks-999-images", "blocks-conv2-only-noisy",
             "blocks-imbalance-calibrated", "one-image-tail-block",
-            "one-image-tail-block-two-batches"])
+            "one-image-tail-block-two-batches",
+            "noiseless-calibrated-batches"])
     def test_matches_serial_route(self, model, n_images, batch_size,
                                   make_setups):
         images = np.random.default_rng(9).random((n_images, 28, 28))
@@ -468,15 +477,6 @@ class TestNoiseAhead:
                                np.random.default_rng(0), batch_size=8)
             assert threading.active_count() == before
 
-    def test_noiseless_call_starts_no_thread(self, model, monkeypatch):
-        started = started_threads(monkeypatch)
-        images = np.random.default_rng(9).random((20, 28, 28))
-        setups = build_photonic_setups(model, imbalance_db=6.0,
-                                       calibration=True)
-        hybrid_forward(model, images, setups, np.random.default_rng(0),
-                       batch_size=8)
-        assert started == []
-
     def test_one_batch_call_starts_no_thread(self, model, monkeypatch):
         # a memory probe that starts and stops tracemalloc around each
         # forward_batch of a one-batch call relies on no other thread
@@ -488,13 +488,17 @@ class TestNoiseAhead:
                            batch_size=batch_size)
         assert started == []
 
-    def test_noisy_batches_share_one_helper(self, model, monkeypatch):
+    @pytest.mark.parametrize("faults", [
+        {"neop_dbc": -10.0},
+        {"imbalance_db": 6.0, "calibration": True},
+    ], ids=["noisy", "noiseless-calibrated"])
+    def test_batches_share_one_helper(self, model, monkeypatch, faults):
+        setups = build_photonic_setups(model, **faults)
         started = started_threads(monkeypatch)
         images = np.random.default_rng(9).random((40, 28, 28))
-        hybrid_forward(model, images,
-                       build_photonic_setups(model, neop_dbc=-10.0),
-                       np.random.default_rng(0), batch_size=8)
-        assert len(started) == 1 and started[0].startswith("ipcnn-hybrid")
+        hybrid_forward(model, images, setups, np.random.default_rng(0),
+                       batch_size=8)
+        assert len(started) == 1 and started[0].startswith("ipcnn-infer")
 
 
 class TestNoiseStream:
